@@ -20,8 +20,13 @@ import subprocess
 import sys
 
 WORKLOADS = ["paper-zoo", "day-cold-random", "day-warm-p2c", "fleet-warm"]
-# A hung workload is stopped and counted as a failure after this long.
-RUN_TIMEOUT_S = 170
+
+
+def run_timeout(seconds):
+    """Seconds after which a hung workload is stopped and counted as a
+    failure: the timed phase plus room for set-up, the last timed unit
+    and the traced pass, which take up to about a minute at 15 s."""
+    return max(170.0, 2 * seconds + 120)
 
 
 def build(root):
@@ -51,6 +56,7 @@ def main():
         print("perfbench: build failed", file=sys.stderr)
         return 1
     workloads = WORKLOADS if args.workload == "all" else [args.workload]
+    timeout = run_timeout(args.seconds)
     status = 0
     for workload in workloads:
         cmd = [
@@ -58,9 +64,9 @@ def main():
             "--seconds", str(args.seconds), "--trace", str(args.trace),
         ]
         try:
-            code = subprocess.run(cmd, cwd=root, timeout=RUN_TIMEOUT_S).returncode
+            code = subprocess.run(cmd, cwd=root, timeout=timeout).returncode
         except subprocess.TimeoutExpired:
-            print(f"perfbench: {workload} exceeded {RUN_TIMEOUT_S} s", file=sys.stderr)
+            print(f"perfbench: {workload} exceeded {timeout:.0f} s", file=sys.stderr)
             code = 1
         status = status or code
     return status

@@ -567,11 +567,15 @@ fn traced_cluster(
     run.set("report.rollup_s", rollup.as_secs_f64());
     run.set("report.drop_s", drop_time.as_secs_f64());
     let (rollup, drop_time) = (rollup.as_secs_f64(), drop_time.as_secs_f64());
+    // The router/driver layer is the serve call's residual, so only the
+    // span-measured layers and the timed rollup and drop count as
+    // measured.
     trace_totals(
         run,
-        execute + engine_self + route_self + rollup + drop_time,
+        advance + rollup + drop_time,
         wall + rollup + drop_time,
         wall / twin_wall.as_secs_f64() - 1.0,
+        false,
     );
 }
 
@@ -676,5 +680,6 @@ fn traced_fleet(
         s(form + execute + place),
         s(replay_wall),
         s(replay_wall) / s(twin_wall) - 1.0,
+        true,
     );
 }

@@ -23,32 +23,39 @@ const ARCHS: [ArchKind; 3] = [ArchKind::SaZvcg, ArchKind::S2taW, ArchKind::S2taA
 const FLOOR_ENERGY_X: f64 = 1.5;
 const FLOOR_SPEEDUP: f64 = 1.6;
 
-fn models() -> [ModelSpec; 4] {
-    [resnet50_v1(), vgg16(), mobilenet_v1(), alexnet()]
+/// The sweep's inputs: the model zoo, its `(model index, arch)` units,
+/// and one fresh accelerator per unit.
+struct Zoo {
+    models: [ModelSpec; 4],
+    units: Vec<(usize, ArchKind)>,
+    accelerators: Vec<Accelerator>,
 }
 
-/// `(model index, arch)` sweep units, largest first so the two-worker
-/// executor is not left waiting on VGG16 at the end.
-fn units(models: &[ModelSpec]) -> Vec<(usize, ArchKind)> {
+/// The set-up: builds the model zoo and the accelerators. Units run
+/// largest first so the two-worker executor is not left waiting on
+/// VGG16 at the end.
+fn build() -> Zoo {
+    let models = [resnet50_v1(), vgg16(), mobilenet_v1(), alexnet()];
     let mut units: Vec<(usize, ArchKind)> =
         (0..models.len()).flat_map(|m| ARCHS.iter().rev().map(move |&k| (m, k))).collect();
     units.sort_by_key(|&(m, _)| std::cmp::Reverse(models[m].conv_macs()));
-    units
+    let accelerators = units.iter().map(|&(_, k)| Accelerator::preset(k)).collect();
+    Zoo { models, units, accelerators }
 }
 
-fn sweep(models: &[ModelSpec], units: &[(usize, ArchKind)], seed: u64) -> Vec<ModelReport> {
+/// One sweep on the global executor. `run_model_conv_only` plans every
+/// layer uncached, so the accelerators stay as fresh as at set-up.
+fn sweep(zoo: &Zoo, seed: u64) -> Vec<ModelReport> {
+    let jobs: Vec<usize> = (0..zoo.units.len()).collect();
     Executor::global()
-        .map(units, |&(m, k)| Accelerator::preset(k).run_model_conv_only(&models[m], seed))
+        .map(&jobs, |&u| zoo.accelerators[u].run_model_conv_only(&zoo.models[zoo.units[u].0], seed))
 }
 
 pub fn run(run: &mut Run) {
     let tech = TechParams::tsmc16();
-    // The sweep's only set-up is building the model zoo; accelerators
-    // are constructed fresh inside the timed phase, as the paper's
-    // experiment does per run.
-    let (setup, models) = repeat_setup(models);
+    let (setup, zoo) = repeat_setup(build);
     run.set("setup_s", setup);
-    let units = units(&models);
+    let (models, units) = (&zoo.models, &zoo.units);
     let sweep_macs: u64 = units.iter().map(|&(m, _)| models[m].conv_macs()).sum();
 
     // Timed phase: whole sweeps on the global executor, for at least
@@ -58,7 +65,7 @@ pub fn run(run: &mut Run) {
     let mut walls = Vec::new();
     let mut reference: Option<Vec<ModelReport>> = None;
     while rates.is_empty() || phase.elapsed().as_secs_f64() < run.seconds {
-        let (reports, wall) = timed(|| sweep(&models, &units, run.seed));
+        let (reports, wall) = timed(|| sweep(&zoo, run.seed));
         if rates.is_empty() {
             run.set("peak_rss_mb", peak_rss_mb());
         }
@@ -71,6 +78,10 @@ pub fn run(run: &mut Run) {
         }
     }
     let reports = reference.expect("at least one sweep");
+    run.check(
+        zoo.accelerators.iter().all(|a| a.plans().is_empty() && a.act_profiles().is_empty()),
+        "sweeps leave their accelerators' caches empty (every sweep runs on fresh accelerators)",
+    );
     run.set_noted(
         "sim_gmac_per_host_s",
         median(&rates),
@@ -112,7 +123,7 @@ pub fn run(run: &mut Run) {
     run.check(energy_x > w_energy_x, "Fig. 11: joint sparsity beats weight-only");
 
     if run.trace {
-        traced(run, &models, &units, &reports, median(&walls));
+        traced(run, models, units, &reports, median(&walls));
     }
 }
 
@@ -178,7 +189,7 @@ fn traced(
         + spans.gen_acts
         + spans.dap
         + spans.kernel.iter().sum::<Duration>();
-    trace_totals(run, s(layer_sum), s(replay_wall), s(replay_wall) / s(twin_wall) - 1.0);
+    trace_totals(run, s(layer_sum), s(replay_wall), s(replay_wall) / s(twin_wall) - 1.0, true);
 }
 
 /// Host time of each reference-path step, summed over the replay.
