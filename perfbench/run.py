@@ -24,9 +24,10 @@ WORKLOADS = ["paper-zoo", "day-cold-random", "day-warm-p2c", "fleet-warm"]
 
 def run_timeout(seconds):
     """Seconds after which a hung workload is stopped and counted as a
-    failure: the timed phase plus room for set-up, the last timed unit
-    and the traced pass, which take up to about a minute at 15 s."""
-    return max(170.0, 2 * seconds + 120)
+    failure: twice the timed phase (a traced run repeats it) plus room
+    for set-up, the last timed unit and the traced pass, which take up
+    to about a minute together."""
+    return max(150.0, 2 * seconds + 100)
 
 
 def build(root):
@@ -46,7 +47,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ["all"])
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args()
 

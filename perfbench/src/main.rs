@@ -94,7 +94,10 @@ const PER_LAYER: &[(&str, &str)] = &[
     ("trace.overhead", "ratio"),
 ];
 
-/// The workloads, in the order `BENCHMARK.json` lists them.
+/// The workloads. `BENCHMARK.json` lists all but `day-cold-random`,
+/// which runs by name only: its cold profile fill is also paid in
+/// `day-warm-p2c`'s set-up, and a fourth workload does not fit the
+/// benchmark's time budget at a run length long enough to be steady.
 const WORKLOADS: &[&str] = &["paper-zoo", "day-cold-random", "day-warm-p2c", "fleet-warm"];
 
 /// The paper's Fig. 11 averages for S2TA-AW over SA-ZVCG.
@@ -294,7 +297,7 @@ fn manifest(workload: &str, run: &Run) -> String {
 fn parse_args() -> Result<(String, u64, f64, bool), String> {
     let mut workload = None;
     let mut seed = s2ta_bench::SEED;
-    let mut seconds = 15.0;
+    let mut seconds = 30.0;
     let mut trace = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
