@@ -1,4 +1,4 @@
-//! Order-preserving parallel fan-out primitives.
+//! Order-preserving parallel fan-out.
 //!
 //! Both the design-space sweep ([`crate::sweep`]) and the serving fleet
 //! (`s2ta-serve`) need the same primitive: run an embarrassingly
@@ -6,24 +6,18 @@
 //! input order**, so parallel output is byte-identical to the serial
 //! path.
 //!
-//! Two implementations live here:
-//!
-//! - [`Executor`] — the hot-loop one. A **persistent** work-stealing
-//!   pool (std threads over the in-tree `crossbeam` injector/steal
-//!   deques) whose workers are spawned once and reused by every burst,
-//!   so steady-state fan-out performs no thread spawns and no channel
-//!   allocation. [`Executor::global`] is the process-wide instance
-//!   shared by `Fleet`, `Cluster`, and the bench fan-outs.
-//! - [`parallel_map`] — the original spawn-per-burst implementation,
-//!   kept as the reference the executor is differentially tested
-//!   against (and for one-shot callers that never repeat).
-//!
-//! Both pull job indices from a shared atomic cursor (self-balancing
-//! for uneven job costs) and write results into per-index slots, so the
-//! output order is fixed by construction at every worker count.
+//! [`Executor`] is that primitive: a **persistent** work-stealing pool
+//! (std threads over the in-tree `crossbeam` injector/steal deques)
+//! whose workers are spawned once and reused by every burst, so
+//! steady-state fan-out performs no thread spawns and no channel
+//! allocation. [`Executor::global`] is the process-wide instance shared
+//! by `Fleet`, `Cluster`, and the bench fan-outs. Workers pull job
+//! indices from a shared cursor (self-balancing for uneven job costs)
+//! and write results into per-index slots, so the output order is fixed
+//! by construction at every worker count; the tests compare it against
+//! a serial `iter().map(..)`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// The number of workers to use when the caller has no preference: the
@@ -40,47 +34,6 @@ pub fn worker_count_for(jobs: usize, cap: Option<usize>) -> usize {
     cap.unwrap_or_else(default_workers).min(jobs).max(1)
 }
 
-/// Applies `f` to every item on a pool of `workers` OS threads and
-/// returns the results in input order.
-///
-/// `workers <= 1` (or a batch of one) runs serially on the calling
-/// thread with no pool at all, so the serial path stays allocation- and
-/// thread-free. The output is identical for every worker count.
-pub fn parallel_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
-    thread::scope(|scope| {
-        for _ in 0..workers.min(items.len()) {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                if tx.send((i, f(&items[i]))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-        for (i, u) in rx {
-            out[i] = Some(u);
-        }
-        out.into_iter().map(|o| o.expect("worker produced every index")).collect()
-    })
-}
-
 /// A persistent work-stealing executor for order-preserving fan-outs.
 ///
 /// Worker threads are spawned once (at construction, or lazily for
@@ -88,7 +41,7 @@ where
 /// [`Executor::map`] call publishes one batch to the shared injector
 /// and the calling thread works alongside the stolen-in helpers. The
 /// result vector is assembled by index, so output is byte-identical to
-/// the serial path and to [`parallel_map`] at every worker count.
+/// a serial `iter().map(..)` at every worker count.
 pub struct Executor {
     pool: crossbeam::pool::Pool,
 }
@@ -158,37 +111,6 @@ impl Executor {
             })
             .collect()
     }
-
-    /// Runs `f` on every item **in place**, each item visited exactly
-    /// once on some worker — the mutating sibling of
-    /// [`Executor::map_capped`] for fan-outs over owned state (e.g.
-    /// cluster shards advancing between arrival barriers).
-    ///
-    /// Items are disjoint, so there is no cross-item synchronization
-    /// beyond the per-index handoff; an effective worker count of one
-    /// (or a batch of at most one) runs serially inline on the calling
-    /// thread, exactly like the map path.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], cap: Option<usize>, f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        let workers = worker_count_for(items.len(), cap).min(self.workers());
-        if workers <= 1 || items.len() <= 1 {
-            for item in items.iter_mut() {
-                f(item);
-            }
-            return;
-        }
-        // Each cell is locked exactly once, by whichever worker claims
-        // its index — the mutex is the safe per-index handoff of the
-        // `&mut T`, never contended.
-        let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-        self.pool.run(cells.len(), workers - 1, &|i| {
-            let mut item = cells[i].lock().expect("executor item slot poisoned");
-            f(&mut item);
-        });
-    }
 }
 
 #[cfg(test)]
@@ -197,19 +119,10 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn preserves_input_order() {
-        let items: Vec<u64> = (0..500).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            assert_eq!(parallel_map(&items, workers, |&x| x * x), serial, "{workers} workers");
-        }
-    }
-
-    #[test]
     fn runs_every_item_exactly_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<usize> = (0..137).collect();
-        let out = parallel_map(&items, 7, |&i| {
+        let out = Executor::new(7).map(&items, |&i| {
             counter.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -218,28 +131,21 @@ mod tests {
     }
 
     #[test]
-    fn handles_empty_and_tiny_batches() {
-        let none: Vec<u32> = Vec::new();
-        assert!(parallel_map(&none, 4, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[9u32], 4, |&x| x + 1), vec![10]);
-    }
-
-    #[test]
     fn default_workers_is_positive() {
         assert!(default_workers() >= 1);
     }
 
     #[test]
-    fn executor_matches_serial_and_parallel_map() {
+    fn executor_matches_serial() {
         let items: Vec<u64> = (0..300).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for workers in [1, 2, 7, default_workers()] {
+        for workers in [1, 2, 3, 7, 8, 64, default_workers()] {
             let ex = Executor::new(workers);
             assert_eq!(ex.map(&items, |&x| x * 3 + 1), serial, "{workers} workers");
             assert_eq!(
-                parallel_map(&items, workers, |&x| x * 3 + 1),
+                ex.map_capped(&items, Some(2), |&x| x * 3 + 1),
                 serial,
-                "{workers} workers (reference)"
+                "{workers} workers capped at 2"
             );
         }
     }
@@ -266,41 +172,10 @@ mod tests {
         assert!(Executor::global().workers() >= 1);
     }
 
-    #[test]
-    fn for_each_mut_matches_serial_at_every_worker_count() {
-        let reference: Vec<u64> = (0..211u64).map(|x| x * x + 3).collect();
-        for workers in [1, 2, 7, default_workers()] {
-            let ex = Executor::new(workers);
-            let mut items: Vec<u64> = (0..211).collect();
-            ex.for_each_mut(&mut items, None, |x| *x = *x * *x + 3);
-            assert_eq!(items, reference, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_item_exactly_once() {
-        let ex = Executor::new(4);
-        let visits = AtomicUsize::new(0);
-        let mut items: Vec<usize> = (0..97).collect();
-        ex.for_each_mut(&mut items, None, |_| {
-            visits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(visits.load(Ordering::Relaxed), 97);
-        // Capped to one worker it runs inline, still once per item.
-        visits.store(0, Ordering::Relaxed);
-        ex.for_each_mut(&mut items, Some(1), |_| {
-            visits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(visits.load(Ordering::Relaxed), 97);
-        let mut empty: Vec<u32> = Vec::new();
-        ex.for_each_mut(&mut empty, None, |_| unreachable!("no items"));
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
         /// [`Executor::map`] is byte-identical to a serial `iter().map`
-        /// and to the spawn-per-burst [`parallel_map`] it replaced, at
-        /// every interesting worker count — including the empty and
+        /// at every interesting worker count — including the empty and
         /// single-job batches the executor short-circuits serially.
         #[test]
         fn prop_executor_map_is_order_and_value_identical(
@@ -311,20 +186,14 @@ mod tests {
             for workers in [1, 2, 7, default_workers()] {
                 let ex = Executor::new(workers);
                 proptest::prop_assert_eq!(&ex.map(&items, f), &serial, "{} workers", workers);
-                proptest::prop_assert_eq!(
-                    &parallel_map(&items, workers, f),
-                    &serial,
-                    "{} workers (parallel_map)",
-                    workers
-                );
             }
         }
     }
 
     /// Regression guard for the fleet's sizing expression: an empty
     /// batch list used to compute `default_workers().min(0) == 0`
-    /// workers. The helper must never return zero, and `parallel_map`
-    /// must tolerate a zero worker request anyway (serial fall-back).
+    /// workers. The helper must never return zero, and an executor
+    /// built with zero workers must still run (serial fall-back).
     #[test]
     fn worker_count_never_zero_and_zero_workers_still_run() {
         assert_eq!(worker_count_for(0, None), 1);
@@ -332,8 +201,9 @@ mod tests {
         assert_eq!(worker_count_for(3, Some(8)), 3);
         assert_eq!(worker_count_for(100, Some(4)), 4);
         assert!(worker_count_for(100, None) >= 1);
+        let ex = Executor::new(0);
         let none: Vec<u32> = Vec::new();
-        assert!(parallel_map(&none, 0, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[1u32, 2], 0, |&x| x * 2), vec![2, 4]);
+        assert!(ex.map(&none, |&x| x).is_empty());
+        assert_eq!(ex.map(&[1u32, 2], |&x| x * 2), vec![2, 4]);
     }
 }

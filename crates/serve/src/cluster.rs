@@ -35,29 +35,27 @@
 //! batching — which is what makes the tail-latency gap between routing
 //! policies attributable to routing alone.
 //!
-//! That same independence makes the cluster a textbook conservative
-//! parallel discrete-event simulation, with the **arrival stream as
-//! the synchronization barrier**: between two router decisions no
-//! shard can affect another, so [`Cluster::serve`] runs a
-//! **shard-parallel driver** on the persistent
-//! [`s2ta_core::pool::Executor`] that is byte-identical to the serial
-//! loop ([`Cluster::serve_serial`]) in two tiers:
+//! [`Cluster::serve`] picks one of two drivers by whether the routing
+//! policy probes shard backlogs:
 //!
-//! 1. **Pre-routed** ([`RoutingPolicy::Random`] — probe-free): the
-//!    router consumes exactly one LCG draw per request and never looks
-//!    at a backlog, so the whole routing sequence is pre-drawn, the
-//!    arrival stream is partitioned per shard up front, and every
-//!    shard simulates its complete substream (arrivals, autoscaler
-//!    evaluations, drain) independently in parallel with a single
-//!    join.
-//! 2. **Arrival-barrier** ([`RoutingPolicy::JoinShortestQueue`] /
-//!    [`RoutingPolicy::PowerOfTwo`] — backlog-probing): route+inject
-//!    stays serial (the probed depths feed the LCG-deterministic
-//!    decision), but the advance of all shards to each barrier runs in
-//!    parallel, with a fast path that skips shards whose next internal
-//!    event (a non-mutating timer-wheel peek) lies beyond the barrier
-//!    — typically only one or two shards have work per inter-arrival
-//!    gap.
+//! 1. **Pre-routed, shard-parallel** ([`RoutingPolicy::Random`] —
+//!    probe-free): the router consumes exactly one LCG draw per
+//!    request and never looks at a backlog, so the whole routing
+//!    sequence is pre-drawn, the arrival stream is partitioned per
+//!    shard up front, and every shard simulates its complete substream
+//!    (arrivals, autoscaler evaluations, drain) independently on the
+//!    persistent [`s2ta_core::pool::Executor`] with a single join.
+//!    It is byte-identical to the serial loop.
+//! 2. **Serial** ([`RoutingPolicy::JoinShortestQueue`] /
+//!    [`RoutingPolicy::PowerOfTwo`] — backlog-probing):
+//!    [`Cluster::serve_serial`] advances every shard to every arrival
+//!    on the calling thread. Each decision reads the depths the
+//!    previous one left, so only the advance between two arrivals
+//!    could run in parallel — and usually one or two shards have any
+//!    work there. Fanning that advance out per arrival measured slower
+//!    than this loop: 133 against 315 simulated GMAC per host second
+//!    (medians of ten 30-s runs of the warm p2c day, two executor
+//!    workers on a 2-vCPU VM).
 //!
 //! "Byte-identical" covers the full [`ClusterReport`] equality —
 //! outcomes, percentiles, routing tallies, scale events. Host-side
@@ -152,8 +150,8 @@ impl RoutingPolicy {
     /// Whether routing decisions read shard backlogs. Probe-free
     /// policies consume a fixed number of LCG draws per request and
     /// ignore the depth callback entirely, so their whole routing
-    /// sequence can be pre-drawn — the tier-1 parallel driver's
-    /// enabling property.
+    /// sequence can be pre-drawn — the pre-routed parallel driver's
+    /// enabling property. Probing policies run the serial driver.
     pub(crate) fn probes_backlog(&self) -> bool {
         match self {
             Self::Random => false,
@@ -165,9 +163,9 @@ impl RoutingPolicy {
 /// One shard's complete driver-side state: its engine, the dummy
 /// open-loop arrival source (the router injects arrivals itself; the
 /// source only answers closed-loop callbacks, as no-ops), and its
-/// batching policy. This is the unit the parallel driver moves across
-/// executor threads between barriers — `Send` by the compile-time
-/// assertion next to [`Engine`].
+/// batching policy. The pre-routed driver builds and drains one per
+/// shard on an executor thread and hands it back to the caller —
+/// `Send` by the compile-time assertion next to [`Engine`].
 struct ShardState<'a> {
     engine: Engine<'a>,
     source: ArrivalSource<'a>,
@@ -410,10 +408,13 @@ impl Cluster {
     /// stream ids, so the union of per-shard outcomes covers the input
     /// stream exactly once.
     ///
-    /// Runs the **shard-parallel driver** on the process-wide
-    /// [`Executor`] (see the module docs for the two tiers); the
-    /// result is byte-identical to [`Cluster::serve_serial`] for every
-    /// routing policy.
+    /// Probe-free routing ([`RoutingPolicy::Random`]) runs the
+    /// pre-routed shard-parallel driver on the process-wide
+    /// [`Executor`]; the backlog-probing policies run
+    /// [`Cluster::serve_serial`], which measured faster than fanning
+    /// the advance between two arrivals out to the executor (see the
+    /// module docs). The result is byte-identical to
+    /// [`Cluster::serve_serial`] for every routing policy.
     ///
     /// # Panics
     ///
@@ -424,8 +425,10 @@ impl Cluster {
     }
 
     /// [`Cluster::serve`] on an explicit executor — the hook that lets
-    /// tests pin the parallel driver to specific worker counts (a
-    /// one-worker executor runs the same code path fully inline).
+    /// tests pin the pre-routed driver to specific worker counts (a
+    /// one-worker executor runs the same code path fully inline). The
+    /// backlog-probing policies ignore `executor`: they always run
+    /// [`Cluster::serve_serial`].
     pub fn serve_on(
         &self,
         executor: &Executor,
@@ -433,7 +436,7 @@ impl Cluster {
         requests: &[Request],
     ) -> ClusterReport {
         if self.routing.probes_backlog() {
-            self.serve_barrier(executor, models, requests)
+            self.serve_serial(models, requests)
         } else {
             self.serve_prerouted(executor, models, requests)
         }
@@ -512,10 +515,12 @@ impl Cluster {
         }
     }
 
-    /// The serial reference driver: one loop advancing every shard to
-    /// every arrival. This is what [`Cluster::serve`] is differentially
-    /// tested against (and what the bench times the parallel driver's
-    /// speedup over); prefer [`Cluster::serve`] everywhere else.
+    /// The serial driver: one loop on the calling thread advancing
+    /// every shard to every arrival. It is the production driver for
+    /// the backlog-probing policies, whose every routing decision reads
+    /// the depths the previous one left, and the reference the
+    /// pre-routed parallel driver is differentially tested against
+    /// (and the bench times it against).
     ///
     /// # Panics
     ///
@@ -527,22 +532,13 @@ impl Cluster {
         let mut rng = Lcg::new(self.router_seed);
         let mut routed = vec![0usize; n];
         let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        let mut next_eval = self.autoscale.map(|a| a.eval_interval_cycles);
+        let mut next_eval = self.first_eval();
 
         for r in requests {
             let t = r.arrival;
             // Autoscaler evaluations due before this arrival fire
             // first, in simulated-time order.
-            if let Some(auto) = self.autoscale {
-                while next_eval.expect("set when autoscaling") <= t {
-                    let eval = next_eval.expect("checked");
-                    for (s, state) in states.iter_mut().enumerate() {
-                        state.advance(eval);
-                        self.autoscale_shard(&mut state.engine, s, eval, auto, &mut scale_events);
-                    }
-                    next_eval = Some(eval + auto.eval_interval_cycles);
-                }
-            }
+            self.fire_evals_through(&mut states, 0, &mut next_eval, t, &mut scale_events);
             // Advance every shard to the arrival so the probed depths
             // are exactly what a request arriving at `t` observes.
             for state in states.iter_mut() {
@@ -562,7 +558,7 @@ impl Cluster {
         self.assemble(states, routed, scale_events)
     }
 
-    /// Tier-1 parallel driver for probe-free routing: pre-draw the
+    /// The parallel driver for probe-free routing: pre-draw the
     /// entire routing sequence (Random consumes exactly one LCG draw
     /// per request and never reads a backlog), partition the arrivals
     /// per shard, and run every shard's complete lifetime — arrivals,
@@ -607,7 +603,7 @@ impl Cluster {
         self.assemble(states, routed, scale_events)
     }
 
-    /// One shard's full tier-1 lifetime over its own substream.
+    /// One shard's full pre-routed lifetime over its own substream.
     ///
     /// Replaying only the shard's own arrivals is exact because the
     /// engine is event-driven: advancing a shard to *another* shard's
@@ -626,18 +622,10 @@ impl Cluster {
     ) -> (ShardState<'a>, Vec<ScaleEvent>) {
         let mut state = ShardState::new(&self.shards[shard], models);
         let mut events: Vec<ScaleEvent> = Vec::new();
-        let mut next_eval = self.autoscale.map(|a| a.eval_interval_cycles);
-        let mut fire_evals_through = |state: &mut ShardState<'_>, t: u64| {
-            let Some(auto) = self.autoscale else { return };
-            while next_eval.expect("set when autoscaling") <= t {
-                let eval = next_eval.expect("checked");
-                state.advance(eval);
-                self.autoscale_shard(&mut state.engine, shard, eval, auto, &mut events);
-                next_eval = Some(eval + auto.eval_interval_cycles);
-            }
-        };
+        let mut next_eval = self.first_eval();
         for (r, failed_over) in own {
-            fire_evals_through(&mut state, r.arrival);
+            let one = std::slice::from_mut(&mut state);
+            self.fire_evals_through(one, shard, &mut next_eval, r.arrival, &mut events);
             state.advance(r.arrival);
             if *failed_over {
                 state.engine.note_failover(r);
@@ -645,68 +633,39 @@ impl Cluster {
             state.inject(*r);
         }
         if let Some(horizon) = horizon {
-            fire_evals_through(&mut state, horizon);
+            let one = std::slice::from_mut(&mut state);
+            self.fire_evals_through(one, shard, &mut next_eval, horizon, &mut events);
         }
         state.drain();
         (state, events)
     }
 
-    /// Tier-2 parallel driver for backlog-probing routing: the
-    /// route+inject step stays serial (probed depths feed each
-    /// LCG-deterministic decision), but between decisions all shards
-    /// advance to the arrival barrier in parallel. The fast path asks
-    /// each shard — via a non-mutating timer-wheel peek — whether any
-    /// internal event precedes the barrier at all; shards with none
-    /// (most of them, in a typical inter-arrival gap) skip executor
-    /// dispatch entirely, and a single busy shard advances inline.
-    fn serve_barrier(
-        &self,
-        executor: &Executor,
-        models: &[ModelSpec],
-        requests: &[Request],
-    ) -> ClusterReport {
-        let n = self.shards.len();
-        let mut states: Vec<ShardState> =
-            self.shards.iter().map(|f| ShardState::new(f, models)).collect();
-        let mut rng = Lcg::new(self.router_seed);
-        let mut routed = vec![0usize; n];
-        let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        let mut next_eval = self.autoscale.map(|a| a.eval_interval_cycles);
-
-        for r in requests {
-            let t = r.arrival;
-            if let Some(auto) = self.autoscale {
-                while next_eval.expect("set when autoscaling") <= t {
-                    let eval = next_eval.expect("checked");
-                    Self::advance_all(executor, &mut states, eval);
-                    for (s, state) in states.iter_mut().enumerate() {
-                        self.autoscale_shard(&mut state.engine, s, eval, auto, &mut scale_events);
-                    }
-                    next_eval = Some(eval + auto.eval_interval_cycles);
-                }
-            }
-            Self::advance_all(executor, &mut states, t);
-            let (shard, failed_over) =
-                self.route_healthy(n, &mut rng, t, |s| states[s].engine.queued_depth());
-            routed[shard] += 1;
-            if failed_over {
-                states[shard].engine.note_failover(r);
-            }
-            states[shard].inject(*r);
-        }
-        executor.for_each_mut(&mut states, None, |state| state.drain());
-        self.assemble(states, routed, scale_events)
+    /// The first autoscaler evaluation time (never reached without an
+    /// [`AutoscalePolicy`]).
+    fn first_eval(&self) -> u64 {
+        self.autoscale.map_or(u64::MAX, |a| a.eval_interval_cycles)
     }
 
-    /// Advances every shard with pending work to the barrier at `t`,
-    /// in parallel when more than one shard is busy.
-    fn advance_all(executor: &Executor, states: &mut [ShardState], t: u64) {
-        let mut busy: Vec<&mut ShardState> =
-            states.iter_mut().filter_map(|s| s.engine.has_event_before(t).then_some(s)).collect();
-        match busy.len() {
-            0 => {}
-            1 => busy[0].advance(t),
-            _ => executor.for_each_mut(&mut busy, None, |s| s.advance(t)),
+    /// Fires every autoscaler evaluation due at or before `t`, in
+    /// simulated-time order, on `states` — shards `first..` in index
+    /// order — advancing each shard to an evaluation before deciding.
+    /// `next_eval` is the pending evaluation time and moves past `t`.
+    fn fire_evals_through(
+        &self,
+        states: &mut [ShardState],
+        first: usize,
+        next_eval: &mut u64,
+        t: u64,
+        events: &mut Vec<ScaleEvent>,
+    ) {
+        let Some(auto) = self.autoscale else { return };
+        while *next_eval <= t {
+            let eval = *next_eval;
+            for (i, state) in states.iter_mut().enumerate() {
+                state.advance(eval);
+                self.autoscale_shard(&mut state.engine, first + i, eval, auto, events);
+            }
+            *next_eval = eval + auto.eval_interval_cycles;
         }
     }
 

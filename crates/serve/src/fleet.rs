@@ -1133,8 +1133,9 @@ impl<'a> Engine<'a> {
     /// state each crossed boundary saw. Must run at the **top** of each
     /// simulated-event handler, before the event mutates engine state:
     /// that makes the sample at boundary `b` reflect exactly the events
-    /// with `time < b`, independent of which driver (serial cluster,
-    /// prerouted, barrier-parallel) delivers the events.
+    /// with `time < b`, independent of which driver (a lone fleet, the
+    /// serial cluster loop, or the pre-routed shard replay) delivers
+    /// the events.
     fn trace_flush(&mut self, now: u64) {
         if !self.trace.as_ref().is_some_and(|tr| tr.flush_due(now)) {
             return;
@@ -1337,30 +1338,6 @@ impl<'a> Engine<'a> {
             "queued counter diverged from the request queue"
         );
         self.queued
-    }
-
-    /// Whether any internal event (completion or live deadline) fires
-    /// strictly before an arrival at `t` in `(time, kind)` order — the
-    /// cluster barrier's fast path: a shard answering `false` needs no
-    /// [`Engine::advance_to_arrival`] dispatch at all. Non-mutating on
-    /// the completion wheel; stale deadline entries may be discarded,
-    /// which never changes simulated state.
-    pub(crate) fn has_event_before(&mut self, t: u64) -> bool {
-        // (ct, COMPLETION) < (t, ARRIVAL) iff ct <= t;
-        // (dt, DEADLINE) < (t, ARRIVAL) iff dt < t — and likewise for
-        // retry and fault events (both kinds sort after arrivals).
-        if self.in_flight.peek_next_event_cycle().is_some_and(|ct| ct <= t) {
-            return true;
-        }
-        if let Some(f) = self.faults.as_deref() {
-            if f.retries.peek_time().is_some_and(|rt| rt < t) {
-                return true;
-            }
-            if f.next_fault_time().is_some_and(|ft| ft < t) {
-                return true;
-            }
-        }
-        self.deadlines.peek_live(&self.queue).is_some_and(|(dt, _)| dt < t)
     }
 
     /// Lanes currently accepting new batches (an `active_lanes`-prefix
@@ -2368,9 +2345,10 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The cluster's parallel driver moves whole engines (plus their
-/// arrival sources) across executor threads between barriers; keep
-/// that a compile-time guarantee rather than an inference accident.
+/// The cluster's pre-routed driver builds whole engines (plus their
+/// arrival sources) on executor threads and hands them back to the
+/// caller; keep that a compile-time guarantee rather than an inference
+/// accident.
 const _: () = {
     const fn assert_send<T: Send>() {}
     #[allow(dead_code)]

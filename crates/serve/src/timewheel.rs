@@ -110,9 +110,9 @@ impl<K: Ord + Copy> TimerWheel<K> {
     }
 
     /// The earliest pending time, **without mutating the wheel**: the
-    /// cheap probe behind the cluster barrier's fast path, where most
-    /// shards have no event before the next arrival and must be
-    /// skippable without cascading any slots.
+    /// probe behind `RetryQueue::peek_time`, which the engine's
+    /// next-event selection calls through a shared reference, so it
+    /// must answer without cascading any slots.
     ///
     /// Exactness: every due entry is at or before the cursor and every
     /// wheel entry strictly after it, so a non-empty due heap already
