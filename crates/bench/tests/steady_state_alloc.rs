@@ -20,6 +20,7 @@
 
 use s2ta_bench::SEED;
 use s2ta_core::{Accelerator, ArchKind, Scratch, WeightResidency};
+use s2ta_dbb::dap::LayerNnz;
 use s2ta_models::lenet5;
 use s2ta_serve::{FaultSpec, FlightRecorder, Request, RetryQueue, TraceEvent, TraceEventKind};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,6 +106,45 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
         assert_eq!(events, warm, "{kind:?}: steady-state events drifted from warmup");
         assert_eq!(grew, 0, "{kind:?}: steady-state batch performed {grew} heap allocations");
     }
+}
+
+/// The cold half of the claim: a lane whose [`Scratch`] arena is warm
+/// compiles a *cold* activation-profile side — regenerating the
+/// activation matrix into the arena, running DAP for the post-DAP side
+/// — with exactly one heap allocation, the profile's own `counts`
+/// buffer, which outlives the call inside the profile cache. DAP's band
+/// buffers live on the stack.
+#[test]
+fn cold_profile_side_through_warm_scratch_allocates_only_its_counts() {
+    let model = lenet5();
+    let acc = Accelerator::preset(ArchKind::S2taAw);
+    let (strip_cols, bz) = (acc.config().geometry.tile_cols(), acc.config().geometry.bz);
+    let mut pruned_layers = 0;
+    for layer in &model.layers {
+        let adbb = layer.suggested_adbb();
+        if matches!(adbb, LayerNnz::Prune(n) if n < bz) {
+            pruned_layers += 1;
+        }
+        let profile = |seed| acc.act_profiles().get_or_profile(layer, seed, strip_cols, bz, adbb);
+        // Warm the arena on this layer's shape through both sides.
+        let mut scratch = Scratch::new();
+        let warm = profile(SEED);
+        warm.dense_with(&mut scratch);
+        warm.postdap_with(&mut scratch);
+
+        // A new seed is a new cache entry with both sides cold; the
+        // entry itself is allocated before counting starts.
+        let cold = profile(SEED + 1);
+        let before = allocs_here();
+        cold.postdap_with(&mut scratch);
+        let postdap = allocs_here() - before;
+        let before = allocs_here();
+        cold.dense_with(&mut scratch);
+        let dense = allocs_here() - before;
+        assert_eq!(postdap, 1, "{}: cold post-DAP side allocated {postdap} times", layer.name);
+        assert_eq!(dense, 1, "{}: cold dense side allocated {dense} times", layer.name);
+    }
+    assert!(pruned_layers > 0, "no layer exercised the DAP band pass");
 }
 
 /// The flight recorder's half of the same claim: the event ring is

@@ -20,7 +20,7 @@
 
 use crate::scratch::Scratch;
 use crate::{Accelerator, ArchConfig, ArchKind, LayerReport};
-use s2ta_dbb::dap::{dap_col_profile, dap_col_profile_with, DapEvents, LayerNnz};
+use s2ta_dbb::dap::{dap_col_profile, DapEvents, LayerNnz};
 use s2ta_dbb::{DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
 use s2ta_sim::{ColStripProfile, RowStripProfile};
@@ -632,9 +632,7 @@ impl ActProfile {
     /// Column-strip profile of the raw activation (compiled on first
     /// use: one matrix generation + one profiling pass, ever).
     pub fn dense(&self) -> &ColStripProfile {
-        self.dense.get_or_init(|| {
-            ColStripProfile::new(&self.layer.gen_acts(self.act_seed), self.strip_cols)
-        })
+        self.dense.get_or_init(|| self.compile_dense(&mut Scratch::new()))
     }
 
     /// Like [`ActProfile::dense`], but profiles `acts` — the caller's
@@ -655,15 +653,7 @@ impl ActProfile {
     }
 
     pub(crate) fn postdap_side(&self) -> &PostDapProfile {
-        self.postdap.get_or_init(|| {
-            let acts = self.layer.gen_acts(self.act_seed);
-            let dap = dap_col_profile(&acts, self.bz, self.adbb, self.strip_cols);
-            PostDapProfile {
-                profile: ColStripProfile::from_flat(dap.counts, dap.strips, dap.k),
-                config: dap.config,
-                events: dap.events,
-            }
-        })
+        self.postdap.get_or_init(|| self.compile_postdap(&mut Scratch::new()))
     }
 
     /// Like [`ActProfile::dense`], but a cold compile stages the
@@ -671,34 +661,44 @@ impl ActProfile {
     /// storage afterwards), so a warm arena makes even the cold side
     /// allocation-light and the warm side allocation-free.
     pub fn dense_with(&self, scratch: &mut Scratch) -> &ColStripProfile {
-        self.dense.get_or_init(|| {
-            let acts = self.layer.gen_acts_into(self.act_seed, std::mem::take(&mut scratch.acts));
-            let profile = ColStripProfile::new(&acts, self.strip_cols);
-            scratch.acts = acts.into_data();
-            profile
-        })
+        self.dense.get_or_init(|| self.compile_dense(scratch))
+    }
+
+    /// Like [`ActProfile::postdap`], but a cold compile stages the
+    /// regenerated activation matrix in `scratch`, as
+    /// [`ActProfile::dense_with`] does.
+    pub fn postdap_with(&self, scratch: &mut Scratch) -> &ColStripProfile {
+        &self.postdap_side_with(scratch).profile
     }
 
     /// [`ActProfile::postdap_side`] through a [`Scratch`] arena: the
-    /// activation matrix and the DAP staging block both reuse the
-    /// arena's capacity on a cold compile.
+    /// activation matrix reuses the arena's capacity on a cold compile,
+    /// and DAP keeps its band buffers on the stack, so the only
+    /// allocation left is the profile's own `counts` buffer.
     pub(crate) fn postdap_side_with(&self, scratch: &mut Scratch) -> &PostDapProfile {
-        self.postdap.get_or_init(|| {
-            let acts = self.layer.gen_acts_into(self.act_seed, std::mem::take(&mut scratch.acts));
-            let dap = dap_col_profile_with(
-                &acts,
-                self.bz,
-                self.adbb,
-                self.strip_cols,
-                &mut scratch.dap_block,
-            );
-            scratch.acts = acts.into_data();
-            PostDapProfile {
-                profile: ColStripProfile::from_flat(dap.counts, dap.strips, dap.k),
-                config: dap.config,
-                events: dap.events,
-            }
-        })
+        self.postdap.get_or_init(|| self.compile_postdap(scratch))
+    }
+
+    /// The dense side's cold compile: regenerate the activation matrix
+    /// into `scratch`'s storage, profile it, hand the storage back.
+    fn compile_dense(&self, scratch: &mut Scratch) -> ColStripProfile {
+        let acts = self.layer.gen_acts_into(self.act_seed, std::mem::take(&mut scratch.acts));
+        let profile = ColStripProfile::new(&acts, self.strip_cols);
+        scratch.acts = acts.into_data();
+        profile
+    }
+
+    /// The post-DAP side's cold compile, staged like
+    /// [`ActProfile::compile_dense`].
+    fn compile_postdap(&self, scratch: &mut Scratch) -> PostDapProfile {
+        let acts = self.layer.gen_acts_into(self.act_seed, std::mem::take(&mut scratch.acts));
+        let dap = dap_col_profile(&acts, self.bz, self.adbb, self.strip_cols);
+        scratch.acts = acts.into_data();
+        PostDapProfile {
+            profile: ColStripProfile::from_flat(dap.counts, dap.strips, dap.k),
+            config: dap.config,
+            events: dap.events,
+        }
     }
 }
 

@@ -379,9 +379,10 @@ impl Accelerator {
     /// (byte-identical on the profiled path, which this always takes),
     /// but without building the per-layer report vector or cloning
     /// layer names, and with every transient buffer (the SMT path's
-    /// regenerated activation matrix, cold profile compiles, the DAP
-    /// staging block) drawn from `scratch`. After the caches and the
-    /// arena are warm, a call allocates nothing.
+    /// regenerated activation matrix and FIFO-timing buffers, the
+    /// activations of cold profile compiles) drawn from `scratch`. After
+    /// the caches and the arena are warm, a call allocates nothing; a
+    /// cold profile side allocates only its output profile.
     ///
     /// # Panics
     ///

@@ -3,19 +3,22 @@
 //!
 //! The profiled (matrix-free) execution path is almost allocation-free
 //! by construction — events are derived from cached strip profiles —
-//! but three host costs remained per request: regenerating activation
-//! matrices (the SMT sampled path and every cold profile side), the
-//! DAP staging block, and the per-layer report vector. A [`Scratch`]
-//! arena owns recycled backing storage for all of them; after the first
-//! batch warms its buffers (and the fleet's plan/profile caches), a
-//! steady-state request allocates nothing.
+//! but host costs remained per request: regenerating activation
+//! matrices (the SMT sampled path and every cold profile side) and the
+//! SMT FIFO-timing buffers. A [`Scratch`] arena owns recycled backing
+//! storage for them (DAP needs none: its band buffers are fixed-size
+//! and live on the stack); after the first batch warms its buffers (and
+//! the fleet's plan/profile caches), a steady-state request allocates
+//! nothing, and a cold profile side allocates only the profile it
+//! outputs.
 //!
 //! Scratch lifetime (one serving lane):
 //!
 //! ```text
 //!   ScratchPool ── checkout ──> Scratch ──┐
 //!        ^                               batch: every layer reuses
-//!        │                               acts / dap_block capacity
+//!        │                               acts (K x N i8) and smt
+//!        │                               capacity
 //!        └────────── restore <───────────┘
 //! ```
 //!
@@ -37,8 +40,6 @@ pub struct Scratch {
     /// Backing storage for regenerated activation matrices
     /// (`Matrix::into_data` / `LayerSpec::gen_acts_into` recycling).
     pub(crate) acts: Vec<i8>,
-    /// DAP per-block staging buffer (`dap_col_profile_with`).
-    pub(crate) dap_block: Vec<i8>,
     /// SMT FIFO-timing buffers (`smt::run_sampled_profiled_into`).
     pub(crate) smt: s2ta_sim::smt::SmtScratch,
 }
@@ -51,7 +52,7 @@ impl Scratch {
 
     /// Total capacity currently retained, in bytes — diagnostic only.
     pub fn retained_bytes(&self) -> usize {
-        self.acts.capacity() + self.dap_block.capacity() + self.smt.retained_bytes()
+        self.acts.capacity() + self.smt.retained_bytes()
     }
 }
 
@@ -60,7 +61,7 @@ impl Scratch {
 /// `checkout` hands out a warm arena when one is idle (LIFO, so the
 /// hottest capacity is reused first) and a fresh one otherwise;
 /// `restore` returns it. The pool never shrinks — arenas are small
-/// (one activation matrix plus one DBB block) and bounded by the number
+/// (one activation matrix plus the SMT buffers) and bounded by the number
 /// of concurrent batches ever in flight.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {

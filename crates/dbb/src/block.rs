@@ -1,5 +1,6 @@
 //! A single compressed DBB block: values plus positional bitmask (Fig. 5).
 
+use crate::config::MAX_BZ;
 use crate::{DbbConfig, DbbError};
 
 /// One compressed DBB block.
@@ -9,11 +10,22 @@ use crate::{DbbConfig, DbbError};
 /// whose set bits mark the expanded positions of the stored values, in
 /// ascending position order. This mirrors the hardware storage layout, so
 /// [`DbbBlock::storage_bytes`] is exactly the SRAM footprint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The values live inline in a fixed `MAX_BZ`-byte array (the slots past
+/// `nnz` stay zero), so a block is a 20-byte `Copy` value with no heap
+/// storage of its own: a compressed vector is one contiguous run of
+/// blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DbbBlock {
-    values: Vec<i8>,
+    values: [i8; MAX_BZ],
     mask: u16,
     config: DbbConfig,
+}
+
+/// Positional mask of the non-zeros of a block of at most `MAX_BZ`
+/// elements: bit `i` set iff `data[i] != 0`.
+pub(crate) fn nonzero_mask(data: &[i8]) -> u16 {
+    data.iter().enumerate().fold(0, |mask, (i, &v)| mask | ((v != 0) as u16) << i)
 }
 
 impl DbbBlock {
@@ -29,29 +41,40 @@ impl DbbBlock {
     /// Panics if `data.len() != config.bz()`.
     pub fn compress(data: &[i8], config: DbbConfig) -> Result<Self, DbbError> {
         assert_eq!(data.len(), config.bz(), "block data must be exactly BZ elements");
-        let nnz_found = data.iter().filter(|&&v| v != 0).count();
-        if nnz_found > config.nnz() {
-            return Err(DbbError::BoundExceeded {
-                block: 0,
-                found: nnz_found,
-                bound: config.nnz(),
-            });
+        Self::pack(data, config)
+    }
+
+    /// [`DbbBlock::compress`] for a block of at most `config.bz()`
+    /// elements: a shorter (tail) block reads as zero-padded.
+    pub(crate) fn pack(data: &[i8], config: DbbConfig) -> Result<Self, DbbError> {
+        debug_assert!(data.len() <= config.bz());
+        let mask = nonzero_mask(data);
+        let found = mask.count_ones() as usize;
+        if found > config.nnz() {
+            return Err(DbbError::BoundExceeded { block: 0, found, bound: config.nnz() });
         }
-        let mut values = Vec::with_capacity(config.nnz());
-        let mut mask = 0u16;
-        for (i, &v) in data.iter().enumerate() {
-            if v != 0 {
-                values.push(v);
-                mask |= 1 << i;
-            }
+        Ok(Self::from_mask(data, mask, config))
+    }
+
+    /// The block storing `data[i]` for each set bit `i` of `mask`, where
+    /// `data` is an expanded block of at most `config.bz()` elements. The
+    /// caller guarantees that those are exactly the non-zeros it keeps:
+    /// at most `config.nnz()` of them, none zero.
+    pub(crate) fn from_mask(data: &[i8], mask: u16, config: DbbConfig) -> Self {
+        debug_assert!(mask.count_ones() as usize <= config.nnz());
+        let mut values = [0i8; MAX_BZ];
+        let mut bits = mask;
+        for slot in values.iter_mut().take(mask.count_ones() as usize) {
+            *slot = data[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
         }
-        values.resize(config.nnz(), 0);
-        Ok(Self { values, mask, config })
+        debug_assert!(values.iter().take(mask.count_ones() as usize).all(|&v| v != 0));
+        Self { values, mask, config }
     }
 
     /// The stored (compressed) values, length exactly `config.nnz()`.
     pub fn values(&self) -> &[i8] {
-        &self.values
+        &self.values[..self.config.nnz()]
     }
 
     /// The positional bitmask `M`: bit `i` set iff expanded position `i`
@@ -73,14 +96,17 @@ impl DbbBlock {
     /// Expands back to the dense `BZ`-element block.
     pub fn decompress(&self) -> Vec<i8> {
         let mut out = vec![0i8; self.config.bz()];
-        let mut vi = 0;
-        for (i, slot) in out.iter_mut().enumerate() {
-            if self.mask & (1 << i) != 0 {
-                *slot = self.values[vi];
-                vi += 1;
-            }
-        }
+        self.scatter_into(&mut out);
         out
+    }
+
+    /// Writes the stored non-zeros to their expanded positions in `out`
+    /// (which the caller has zeroed); positions past `out.len()` — a
+    /// tail block's padding — never hold one.
+    pub(crate) fn scatter_into(&self, out: &mut [i8]) {
+        for (i, v) in self.nonzeros() {
+            out[i] = v;
+        }
     }
 
     /// The value at expanded position `pos`, resolved through the mask —
@@ -105,13 +131,13 @@ impl DbbBlock {
     /// in ascending position order — the serialization order of the
     /// time-unrolled datapath (Fig. 6e).
     pub fn nonzeros(&self) -> impl Iterator<Item = (usize, i8)> + '_ {
-        let bz = self.config.bz();
-        (0..bz).filter_map(move |i| {
-            if self.mask & (1 << i) != 0 {
-                Some((i, self.value_at(i)))
-            } else {
-                None
-            }
+        let mut bits = self.mask;
+        self.values.iter().map_while(move |&v| {
+            (bits != 0).then(|| {
+                let pos = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                (pos, v)
+            })
         })
     }
 
@@ -180,6 +206,11 @@ mod tests {
         let b = DbbBlock::compress(&data, DbbConfig::dense(8)).unwrap();
         assert_eq!(b.decompress(), data);
         assert_eq!(b.storage_bytes(), 8);
+    }
+
+    #[test]
+    fn block_is_a_small_inline_value() {
+        assert_eq!(std::mem::size_of::<DbbBlock>(), 20);
     }
 
     #[test]

@@ -13,8 +13,10 @@ pub const MAX_BZ: usize = 16;
 /// unpruned layers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DbbConfig {
-    nnz: usize,
-    bz: usize,
+    // Bytes, not `usize`s: both are at most `MAX_BZ`, and every
+    // compressed block carries a copy.
+    nnz: u8,
+    bz: u8,
 }
 
 impl DbbConfig {
@@ -27,7 +29,7 @@ impl DbbConfig {
         assert!(nnz > 0, "NNZ must be positive");
         assert!(nnz <= bz, "NNZ {nnz} exceeds block size {bz}");
         assert!(bz <= MAX_BZ, "block size {bz} exceeds max {MAX_BZ}");
-        Self { nnz, bz }
+        Self { nnz: nnz as u8, bz: bz as u8 }
     }
 
     /// The paper's default weight configuration, 4/8 (Sec. 8.1: "4/8 DBB
@@ -43,12 +45,12 @@ impl DbbConfig {
 
     /// Maximum non-zeros per block.
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.nnz as usize
     }
 
     /// Block size.
     pub fn bz(&self) -> usize {
-        self.bz
+        self.bz as usize
     }
 
     /// Whether this is the dense (no-bound) configuration.
@@ -58,7 +60,7 @@ impl DbbConfig {
 
     /// Density as a fraction: `nnz / bz`.
     pub fn density(&self) -> f64 {
-        self.nnz as f64 / self.bz as f64
+        self.nnz() as f64 / self.bz() as f64
     }
 
     /// Sparsity bound as a fraction: `1 - nnz/bz`.
@@ -70,15 +72,15 @@ impl DbbConfig {
     /// `ceil(bz / 8)` mask bytes. Dense blocks store no mask.
     pub fn block_bytes(&self) -> usize {
         if self.is_dense() {
-            self.bz
+            self.bz()
         } else {
-            self.nnz + self.bz.div_ceil(8)
+            self.nnz() + self.bz().div_ceil(8)
         }
     }
 
     /// Compression ratio versus dense storage (e.g. 4/8 -> 8/5 = 1.6x).
     pub fn compression_ratio(&self) -> f64 {
-        self.bz as f64 / self.block_bytes() as f64
+        self.bz() as f64 / self.block_bytes() as f64
     }
 }
 

@@ -17,26 +17,29 @@
 //! * [`LayerNnz`] / [`choose_layer_nnz`] — the per-layer variable density
 //!   selection (Sec. 5.2: per-layer tuned A-DBB from 8/8 down to 2/8).
 
-use crate::{BlockAxis, DbbConfig, DbbMatrix};
+use crate::config::MAX_BZ;
+use crate::prune::{magnitude_ranks, top_magnitude_mask};
+use crate::{BlockAxis, DbbBlock, DbbConfig, DbbMatrix, DbbVector};
 use s2ta_tensor::Matrix;
+use std::ops::Range;
 
 /// Maximum number of cascaded maxpool stages the DAP hardware implements.
 pub const MAX_DAP_STAGES: usize = 5;
 
 /// Software reference for DAP on one block: keeps the `nnz`
 /// largest-magnitude elements (ties to the lower index), zeroes the rest.
+///
+/// # Panics
+///
+/// Panics if `block` has more than 16 elements (the widest DBB block).
 pub fn dap_block(block: &mut [i8], nnz: usize) {
     let found = block.iter().filter(|&&v| v != 0).count();
     if found <= nnz {
         return;
     }
-    let mags: Vec<f64> = block.iter().map(|&v| (v as f64).abs()).collect();
-    let keep = crate::prune::top_magnitude_indices(&mags, nnz);
-    let mut keep_iter = keep.iter().peekable();
+    let keep = top_magnitude_mask(block, nnz);
     for (i, v) in block.iter_mut().enumerate() {
-        if keep_iter.peek() == Some(&&i) {
-            keep_iter.next();
-        } else {
+        if keep & (1 << i) == 0 {
             *v = 0;
         }
     }
@@ -163,35 +166,125 @@ impl LayerNnz {
 ///
 /// # Panics
 ///
-/// Panics unless `0.0 < coverage <= 1.0`.
+/// Panics unless `0.0 < coverage <= 1.0` and `0 < bz <= 16`.
 pub fn choose_layer_nnz(activations: &Matrix, bz: usize, coverage: f64) -> LayerNnz {
     assert!(coverage > 0.0 && coverage <= 1.0, "coverage must be in (0,1]");
     let total: f64 = activations.data().iter().map(|&v| (v as f64).abs()).sum();
     if total == 0.0 {
         return LayerNnz::Prune(1);
     }
-    for nnz in 1..=MAX_DAP_STAGES {
-        let kept = retained_magnitude(activations, bz, nnz);
-        if kept / total >= coverage {
-            return LayerNnz::Prune(nnz);
-        }
+    let kept = retained_magnitudes(activations, bz);
+    // The sums are integers far below 2^53, so each `f64` is exact.
+    match kept.iter().position(|&k| k as f64 / total >= coverage) {
+        Some(i) => LayerNnz::Prune(i + 1),
+        None => LayerNnz::Dense,
     }
-    LayerNnz::Dense
 }
 
-fn retained_magnitude(m: &Matrix, bz: usize, nnz: usize) -> f64 {
-    let mut kept = 0.0;
-    for c in 0..m.cols() {
-        let mut r = 0;
-        while r < m.rows() {
-            let end = (r + bz).min(m.rows());
-            let mut mags: Vec<f64> = (r..end).map(|i| (m.get(i, c) as f64).abs()).collect();
-            mags.sort_by(|a, b| b.partial_cmp(a).expect("no NaN"));
-            kept += mags.iter().take(nnz).sum::<f64>();
-            r = end;
+/// `kept[n - 1]` = the L1 magnitude that Top-`n` pruning of every column
+/// block retains, for `n` in `1..=MAX_DAP_STAGES`, from one ranking per
+/// block.
+fn retained_magnitudes(m: &Matrix, bz: usize) -> [u64; MAX_DAP_STAGES] {
+    assert!(bz > 0 && bz <= MAX_BZ, "unsupported block size {bz}");
+    let mut by_rank = [0u64; MAX_DAP_STAGES];
+    let mut block = [0i8; MAX_BZ];
+    for rows in bands(m.rows(), bz) {
+        let block = &mut block[..rows.len()];
+        for c in 0..m.cols() {
+            for (v, r) in block.iter_mut().zip(rows.clone()) {
+                *v = m.get(r, c);
+            }
+            for (&v, &rank) in block.iter().zip(&magnitude_ranks(block)) {
+                if let Some(slot) = by_rank.get_mut(rank as usize) {
+                    *slot += v.unsigned_abs() as u64;
+                }
+            }
         }
     }
+    let mut kept = by_rank;
+    for n in 1..MAX_DAP_STAGES {
+        kept[n] += kept[n - 1];
+    }
     kept
+}
+
+/// The row ranges of the DBB blocks along a `k`-element column: bands
+/// of `bz` rows, the last one shorter when `bz` does not divide `k`.
+fn bands(k: usize, bz: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..k).step_by(bz).map(move |r0| r0..(r0 + bz).min(k))
+}
+
+/// The DBB configuration DAP compresses under at `(bz, nnz)`, and the
+/// per-block bound it prunes to — `None` when nothing is pruned
+/// ([`LayerNnz::Dense`], or a bound at or above `bz`).
+fn dap_scope(bz: usize, nnz: LayerNnz) -> (DbbConfig, Option<usize>) {
+    match nnz {
+        LayerNnz::Prune(n) if n < bz => (DbbConfig::new(n, bz), Some(n)),
+        _ => (DbbConfig::dense(bz), None),
+    }
+}
+
+/// Columns per panel of the DAP pass: a panel's band masks and blocks
+/// live in fixed buffers on the stack.
+const PANEL_COLS: usize = 512;
+
+/// The one DAP pass behind [`dap_matrix`] and [`dap_col_profile`]. It
+/// walks `m` in panels of `PANEL_COLS` columns and, within a panel, in
+/// bands of `bz` rows, reading each row segment in order. For every
+/// band of a panel it computes each column block's non-zero mask,
+/// copies the blocks out column-contiguous (column `cols.start + j`'s
+/// block at `blocks[j * bz..]`), prunes every block to `n` and hands the
+/// band's rows, the panel's columns, the survivor masks and the blocks
+/// to `visit`. Returns the DAP hardware events: none above the 5-stage
+/// cap.
+///
+/// The cascade needs no stage-by-stage replay. Stage `s` selects the
+/// `s`-th largest magnitude while a non-zero remains, and the first
+/// stage that finds only zeros ends it (Sec. 6.2), so a block with
+/// `found` non-zeros runs `min(found + 1, n)` stages of `bz - 1`
+/// comparisons, and it keeps all its non-zeros unless `found > n`. Only
+/// those over-full blocks are ranked; the survivors are the Top-`n`
+/// that [`DapUnit::prune`] and [`dap_block`] select.
+fn dap_bands(
+    m: &Matrix,
+    bz: usize,
+    n: usize,
+    mut visit: impl FnMut(Range<usize>, Range<usize>, &[u16], &[i8]),
+) -> DapEvents {
+    assert!(bz > 0 && bz <= MAX_BZ, "unsupported block size {bz}");
+    let mut stages = 0u64;
+    let mut masks = [0u16; PANEL_COLS];
+    let mut blocks = [0i8; PANEL_COLS * MAX_BZ];
+    for c0 in (0..m.cols()).step_by(PANEL_COLS) {
+        let cols = c0..(c0 + PANEL_COLS).min(m.cols());
+        let masks = &mut masks[..cols.len()];
+        let blocks = &mut blocks[..cols.len() * bz];
+        for rows in bands(m.rows(), bz) {
+            masks.fill(0);
+            for (i, r) in rows.clone().enumerate() {
+                let segment = &m.row(r)[cols.clone()];
+                for (mask, &v) in masks.iter_mut().zip(segment) {
+                    *mask |= ((v != 0) as u16) << i;
+                }
+                for (block, &v) in blocks.chunks_exact_mut(bz).zip(segment) {
+                    block[i] = v;
+                }
+            }
+            for (mask, block) in masks.iter_mut().zip(blocks.chunks_exact(bz)) {
+                let found = mask.count_ones() as usize;
+                stages += (found + 1).min(n) as u64;
+                if found > n {
+                    *mask = top_magnitude_mask(&block[..rows.len()], n);
+                }
+            }
+            visit(rows, cols.clone(), masks, blocks);
+        }
+    }
+    if n <= MAX_DAP_STAGES {
+        DapEvents { stages, comparisons: stages * (bz - 1) as u64 }
+    } else {
+        DapEvents::default()
+    }
 }
 
 /// Applies DAP to an entire im2col activation matrix (columns are
@@ -205,41 +298,23 @@ fn retained_magnitude(m: &Matrix, bz: usize, nnz: usize) -> f64 {
 /// representing activations already bounded by DAP-aware *training* —
 /// and contribute no DAP hardware events.
 pub fn dap_matrix(m: &Matrix, bz: usize, nnz: LayerNnz) -> (DbbMatrix, DapEvents) {
-    let mut out = m.clone();
-    let mut events = DapEvents::default();
-    let config = match nnz {
-        LayerNnz::Dense => DbbConfig::dense(bz),
-        LayerNnz::Prune(n) if n >= bz => DbbConfig::dense(bz),
-        LayerNnz::Prune(n) => {
-            let unit = (n <= MAX_DAP_STAGES).then(|| DapUnit::new(bz));
-            let mut block = vec![0i8; bz];
-            for c in 0..out.cols() {
-                let mut r = 0;
-                while r < out.rows() {
-                    let end = (r + bz).min(out.rows());
-                    block.fill(0);
-                    for (bi, row) in (r..end).enumerate() {
-                        block[bi] = out.get(row, c);
-                    }
-                    if let Some(unit) = &unit {
-                        let (_, ev) = unit.prune(&mut block, n);
-                        events.stages += ev.stages;
-                        events.comparisons += ev.comparisons;
-                    } else {
-                        dap_block(&mut block, n);
-                    }
-                    for (bi, row) in (r..end).enumerate() {
-                        out.set(row, c, block[bi]);
-                    }
-                    r = end;
-                }
-            }
-            DbbConfig::new(n, bz)
-        }
+    let (config, bound) = dap_scope(bz, nnz);
+    let Some(n) = bound else {
+        let compressed =
+            DbbMatrix::compress(m, BlockAxis::Cols, config).expect("the dense bound always holds");
+        return (compressed, DapEvents::default());
     };
-    let compressed = DbbMatrix::compress(&out, BlockAxis::Cols, config)
-        .expect("DAP output satisfies its own bound");
-    (compressed, events)
+    let (k, cols) = (m.rows(), m.cols());
+    let mut columns: Vec<Vec<DbbBlock>> =
+        (0..cols).map(|_| Vec::with_capacity(k.div_ceil(bz))).collect();
+    let events = dap_bands(m, bz, n, |_, cols, masks, blocks| {
+        let panel = masks.iter().zip(blocks.chunks_exact(bz));
+        for ((&mask, block), column) in panel.zip(&mut columns[cols]) {
+            column.push(DbbBlock::from_mask(block, mask, config));
+        }
+    });
+    let vectors = columns.into_iter().map(|blocks| DbbVector::from_blocks(blocks, k, config));
+    (DbbMatrix::from_vectors(vectors.collect(), BlockAxis::Cols, k, cols, config), events)
 }
 
 /// The column-strip non-zero profile of a DAP-pruned activation matrix,
@@ -282,81 +357,44 @@ impl DapColProfile {
 /// post-DAP element at reduction position `p` is non-zero — exactly the
 /// column-strip profile of `dap_matrix(m, bz, nnz).0.decompress()`.
 ///
+/// Pruned scopes run the band pass [`dap_matrix`] runs and tally each
+/// band's survivor masks per strip; unpruned scopes tally the raw
+/// non-zeros row by row. Either way `m` is read in row order, and the
+/// only allocation is the returned `counts`.
+///
 /// # Panics
 ///
 /// Panics if `strip_cols` is zero.
 pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz, strip_cols: usize) -> DapColProfile {
-    dap_col_profile_with(m, bz, nnz, strip_cols, &mut Vec::new())
-}
-
-/// [`dap_col_profile`] with a caller-owned block scratch buffer: the
-/// only transient the profile derivation needs. A lane that keeps the
-/// buffer in its arena re-derives profiles (on activation-cache misses)
-/// with zero scratch allocation; the returned profile's `counts` vector
-/// is the output, not scratch, and is always freshly allocated because
-/// it outlives the call inside the activation profile cache.
-///
-/// # Panics
-///
-/// Panics if `strip_cols` is zero.
-pub fn dap_col_profile_with(
-    m: &Matrix,
-    bz: usize,
-    nnz: LayerNnz,
-    strip_cols: usize,
-    block: &mut Vec<i8>,
-) -> DapColProfile {
     assert!(strip_cols > 0, "strip width must be non-zero");
     let strips = m.cols().div_ceil(strip_cols);
     let k = m.rows();
     let mut counts = vec![0u32; strips * k];
-    let mut events = DapEvents::default();
-    let config = match nnz {
-        // Dense (or a bound at/above BZ): nothing is pruned, the
-        // profile is the raw matrix's.
-        LayerNnz::Dense => DbbConfig::dense(bz),
-        LayerNnz::Prune(n) if n >= bz => DbbConfig::dense(bz),
-        LayerNnz::Prune(n) => {
-            let unit = (n <= MAX_DAP_STAGES).then(|| DapUnit::new(bz));
-            block.resize(bz, 0);
-            let block = &mut block[..bz];
-            for c in 0..m.cols() {
-                let base = (c / strip_cols) * k;
-                let strip = &mut counts[base..base + k];
-                let mut r = 0;
-                while r < k {
-                    let end = (r + bz).min(k);
-                    block.fill(0);
-                    for (bi, row) in (r..end).enumerate() {
-                        block[bi] = m.get(row, c);
-                    }
-                    if let Some(unit) = &unit {
-                        let (_, ev) = unit.prune(block, n);
-                        events.stages += ev.stages;
-                        events.comparisons += ev.comparisons;
-                    } else {
-                        dap_block(block, n);
-                    }
-                    for (bi, row) in (r..end).enumerate() {
-                        if block[bi] != 0 {
-                            strip[row] += 1;
-                        }
-                    }
-                    r = end;
+    let (config, bound) = dap_scope(bz, nnz);
+    let events = match bound {
+        Some(n) => dap_bands(m, bz, n, |rows, cols, masks, _| {
+            // The panel's columns, cut at strip boundaries.
+            let mut c = cols.start;
+            while c < cols.end {
+                let s = c / strip_cols;
+                let end = ((s + 1) * strip_cols).min(cols.end);
+                let chunk = &masks[c - cols.start..end - cols.start];
+                let strip = &mut counts[s * k + rows.start..s * k + rows.end];
+                for (i, slot) in strip.iter_mut().enumerate() {
+                    *slot += chunk.iter().map(|&mask| (mask >> i & 1) as u32).sum::<u32>();
+                }
+                c = end;
+            }
+        }),
+        None => {
+            for p in 0..k {
+                for (s, chunk) in m.row(p).chunks(strip_cols).enumerate() {
+                    counts[s * k + p] += chunk.iter().filter(|&&v| v != 0).count() as u32;
                 }
             }
-            return DapColProfile { counts, strips, k, events, config: DbbConfig::new(n, bz) };
+            DapEvents::default()
         }
     };
-    for c in 0..m.cols() {
-        let base = (c / strip_cols) * k;
-        let strip = &mut counts[base..base + k];
-        for (r, slot) in strip.iter_mut().enumerate() {
-            if m.get(r, c) != 0 {
-                *slot += 1;
-            }
-        }
-    }
     DapColProfile { counts, strips, k, events, config }
 }
 
@@ -528,7 +566,126 @@ mod tests {
         }
     }
 
+    /// DAP applied the way the hardware sees it: every column cut into
+    /// zero-padded `bz` blocks, each pruned by [`DapUnit::prune`] within
+    /// the 5-stage cap and by [`dap_block`] above it. Returns the pruned
+    /// matrix and the summed events.
+    fn per_block_oracle(m: &Matrix, bz: usize, n: usize) -> (Matrix, DapEvents) {
+        let mut out = m.clone();
+        let mut events = DapEvents::default();
+        let unit = DapUnit::new(bz);
+        for c in 0..m.cols() {
+            for r0 in (0..m.rows()).step_by(bz) {
+                let rows = r0..(r0 + bz).min(m.rows());
+                let mut block = vec![0i8; bz];
+                for (v, r) in block.iter_mut().zip(rows.clone()) {
+                    *v = m.get(r, c);
+                }
+                if n <= MAX_DAP_STAGES {
+                    let (mask, ev) = unit.prune(&mut block, n);
+                    assert_eq!(mask, crate::block::nonzero_mask(&block), "mask marks survivors");
+                    events.stages += ev.stages;
+                    events.comparisons += ev.comparisons;
+                } else {
+                    dap_block(&mut block, n);
+                }
+                for (&v, r) in block.iter().zip(rows) {
+                    out.set(r, c, v);
+                }
+            }
+        }
+        (out, events)
+    }
+
+    #[test]
+    fn band_pass_matches_per_block_oracle_on_extremes() {
+        // Every magnitude tie and both ends of the i8 range in one
+        // column block, a tail block of three rows, and a column that
+        // is entirely -128.
+        let mut data = vec![0i8; 19 * 3];
+        let col0 = [5, -5, 5, 0, -128, 127, -127, 5, 1, -1, 1, 0, 0, 0, 0, 0, -128, 2, -2];
+        for (r, &v) in col0.iter().enumerate() {
+            data[r * 3] = v;
+            data[r * 3 + 1] = -128;
+            data[r * 3 + 2] = (r % 3) as i8;
+        }
+        let m = Matrix::from_vec(19, 3, data);
+        for bz in [4, 8, 16] {
+            for n in 1..bz {
+                let (expect, expect_events) = per_block_oracle(&m, bz, n);
+                let (dm, events) = dap_matrix(&m, bz, LayerNnz::Prune(n));
+                assert_eq!(dm.decompress(), expect, "bz {bz} n {n}");
+                assert_eq!(events, expect_events, "bz {bz} n {n}");
+            }
+        }
+    }
+
+    /// The retained magnitude as it was computed: sort each column
+    /// block's `f64` magnitudes and sum the largest `nnz`.
+    fn oracle_retained(m: &Matrix, bz: usize, nnz: usize) -> f64 {
+        let mut kept = 0.0;
+        for c in 0..m.cols() {
+            for r0 in (0..m.rows()).step_by(bz) {
+                let end = (r0 + bz).min(m.rows());
+                let mut mags: Vec<f64> = (r0..end).map(|r| (m.get(r, c) as f64).abs()).collect();
+                mags.sort_by(|a, b| b.partial_cmp(a).unwrap());
+                kept += mags.iter().take(nnz).sum::<f64>();
+            }
+        }
+        kept
+    }
+
     proptest! {
+        #[test]
+        fn prop_retained_magnitudes_match_sorted_f64(
+            rows in 1usize..30,
+            cols in 1usize..8,
+            data in prop::collection::vec(any::<i8>(), 240),
+            bz_pick in 0usize..3,
+        ) {
+            let m = Matrix::from_vec(rows, cols, data[..rows * cols].to_vec());
+            let bz = [4, 8, 16][bz_pick];
+            let kept = retained_magnitudes(&m, bz);
+            for nnz in 1..=MAX_DAP_STAGES {
+                prop_assert_eq!(kept[nnz - 1] as f64, oracle_retained(&m, bz, nnz));
+            }
+        }
+
+        #[test]
+        fn prop_band_pass_matches_per_block_oracle(
+            rows in 1usize..40,
+            cols in 1usize..10,
+            wide in prop::collection::vec(any::<i8>(), 400),
+            narrow in prop::collection::vec(-2i8..=2, 400),
+            use_narrow in any::<bool>(),
+            bz_pick in 0usize..3,
+            n_pick in any::<usize>(),
+            strip_cols in 1usize..6,
+        ) {
+            // Narrow values are mostly magnitude ties; wide ones cover
+            // the whole i8 range, -128 included.
+            let pool = if use_narrow { narrow } else { wide };
+            let m = Matrix::from_vec(rows, cols, pool[..rows * cols].to_vec());
+            let bz = [4, 8, 16][bz_pick];
+            let n = 1 + n_pick % (bz - 1);
+            let (expect, expect_events) = per_block_oracle(&m, bz, n);
+
+            let (dm, events) = dap_matrix(&m, bz, LayerNnz::Prune(n));
+            prop_assert_eq!(dm.decompress(), expect.clone());
+            prop_assert_eq!(events, expect_events);
+            prop_assert_eq!(dm.config(), DbbConfig::new(n, bz));
+
+            let profile = dap_col_profile(&m, bz, LayerNnz::Prune(n), strip_cols);
+            let mut counts = vec![0u32; cols.div_ceil(strip_cols) * rows];
+            for r in 0..rows {
+                for c in 0..cols {
+                    counts[(c / strip_cols) * rows + r] += (expect.get(r, c) != 0) as u32;
+                }
+            }
+            prop_assert_eq!(profile.counts, counts);
+            prop_assert_eq!(profile.events, expect_events);
+        }
+
         #[test]
         fn prop_dap_col_profile_equals_materialized(
             rows in 1usize..24,

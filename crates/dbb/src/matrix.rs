@@ -27,20 +27,24 @@ impl DbbVector {
     /// Panics if `data` is empty.
     pub fn compress(data: &[i8], config: DbbConfig) -> Result<Self, DbbError> {
         assert!(!data.is_empty(), "cannot compress an empty vector");
-        let bz = config.bz();
-        let mut blocks = Vec::with_capacity(data.len().div_ceil(bz));
-        let mut buf = vec![0i8; bz];
-        for (bi, chunk) in data.chunks(bz).enumerate() {
-            buf.fill(0);
-            buf[..chunk.len()].copy_from_slice(chunk);
-            let block = DbbBlock::compress(&buf, config).map_err(|e| match e {
-                DbbError::BoundExceeded { found, bound, .. } => {
-                    DbbError::BoundExceeded { block: bi, found, bound }
-                }
-            })?;
-            blocks.push(block);
-        }
-        Ok(Self { blocks, len: data.len(), config })
+        let blocks = data
+            .chunks(config.bz())
+            .enumerate()
+            .map(|(bi, chunk)| {
+                DbbBlock::pack(chunk, config).map_err(|e| match e {
+                    DbbError::BoundExceeded { found, bound, .. } => {
+                        DbbError::BoundExceeded { block: bi, found, bound }
+                    }
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::from_blocks(blocks, data.len(), config))
+    }
+
+    /// Wraps already-compressed blocks covering a `len`-element vector.
+    pub(crate) fn from_blocks(blocks: Vec<DbbBlock>, len: usize, config: DbbConfig) -> Self {
+        debug_assert_eq!(blocks.len(), len.div_ceil(config.bz()));
+        Self { blocks, len, config }
     }
 
     /// The compressed blocks, in reduction order.
@@ -65,12 +69,16 @@ impl DbbVector {
 
     /// Expands back to the dense vector (original length, padding dropped).
     pub fn decompress(&self) -> Vec<i8> {
-        let mut out = Vec::with_capacity(self.blocks.len() * self.config.bz());
-        for b in &self.blocks {
-            out.extend_from_slice(&b.decompress());
-        }
-        out.truncate(self.len);
+        let mut out = vec![0i8; self.len];
+        self.decompress_into(&mut out);
         out
+    }
+
+    /// Expands into `out` (zeroed, exactly `len` elements).
+    fn decompress_into(&self, out: &mut [i8]) {
+        for (block, chunk) in self.blocks.iter().zip(out.chunks_mut(self.config.bz())) {
+            block.scatter_into(chunk);
+        }
     }
 
     /// Total compressed storage in bytes (values + masks).
@@ -103,25 +111,60 @@ pub struct DbbMatrix {
     config: DbbConfig,
 }
 
+/// The row-major `cols x rows` transpose of `m`, copied in square tiles
+/// so both the reads and the writes stay within a few cache lines.
+fn transpose(m: &Matrix) -> Vec<i8> {
+    const TILE: usize = 32;
+    let (rows, cols) = (m.rows(), m.cols());
+    let mut t = vec![0i8; rows * cols];
+    for r0 in (0..rows).step_by(TILE) {
+        for c0 in (0..cols).step_by(TILE) {
+            for r in r0..(r0 + TILE).min(rows) {
+                let row = &m.row(r)[c0..(c0 + TILE).min(cols)];
+                for (c, &v) in (c0..).zip(row) {
+                    t[c * rows + r] = v;
+                }
+            }
+        }
+    }
+    t
+}
+
 impl DbbMatrix {
-    /// Compresses `m` along `axis`.
+    /// Compresses `m` along `axis`. Column blocking transposes `m` once
+    /// and compresses the rows of the transpose.
     ///
     /// # Errors
     ///
     /// Returns the first DBB bound violation encountered.
     pub fn compress(m: &Matrix, axis: BlockAxis, config: DbbConfig) -> Result<Self, DbbError> {
-        let vectors = match axis {
-            BlockAxis::Rows => (0..m.rows())
-                .map(|r| DbbVector::compress(m.row(r), config))
-                .collect::<Result<Vec<_>, _>>()?,
-            BlockAxis::Cols => (0..m.cols())
-                .map(|c| {
-                    let col: Vec<i8> = (0..m.rows()).map(|r| m.get(r, c)).collect();
-                    DbbVector::compress(&col, config)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+        let compress_rows = |data: &[i8], len: usize| {
+            data.chunks(len).map(|v| DbbVector::compress(v, config)).collect::<Result<Vec<_>, _>>()
         };
-        Ok(Self { vectors, axis, rows: m.rows(), cols: m.cols(), config })
+        let vectors = match axis {
+            BlockAxis::Rows => compress_rows(m.data(), m.cols())?,
+            BlockAxis::Cols => compress_rows(&transpose(m), m.rows())?,
+        };
+        Ok(Self::from_vectors(vectors, axis, m.rows(), m.cols(), config))
+    }
+
+    /// Wraps already-compressed reduction vectors of a `rows x cols`
+    /// matrix.
+    pub(crate) fn from_vectors(
+        vectors: Vec<DbbVector>,
+        axis: BlockAxis,
+        rows: usize,
+        cols: usize,
+        config: DbbConfig,
+    ) -> Self {
+        debug_assert_eq!(
+            vectors.len(),
+            match axis {
+                BlockAxis::Rows => rows,
+                BlockAxis::Cols => cols,
+            }
+        );
+        Self { vectors, axis, rows, cols, config }
     }
 
     /// The compressed reduction vectors (rows or columns, per `axis`).
@@ -149,10 +192,8 @@ impl DbbMatrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
         match self.axis {
             BlockAxis::Rows => {
-                for (r, v) in self.vectors.iter().enumerate() {
-                    for (c, val) in v.decompress().into_iter().enumerate() {
-                        m.set(r, c, val);
-                    }
+                for (v, row) in self.vectors.iter().zip(m.data_mut().chunks_mut(self.cols)) {
+                    v.decompress_into(row);
                 }
             }
             BlockAxis::Cols => {
@@ -212,6 +253,30 @@ mod tests {
             let dm = DbbMatrix::compress(&m, axis, cfg).unwrap();
             assert_eq!(dm.decompress(), m);
             assert_eq!(dm.shape(), (12, 20));
+        }
+    }
+
+    #[test]
+    fn column_blocking_names_the_offending_block_of_its_column() {
+        // Column 1 of a 16 x 3 matrix holds three non-zeros in its
+        // second block; the transpose must not shift that block index.
+        let mut m = Matrix::zeros(16, 3);
+        for r in [9, 10, 12] {
+            m.set(r, 1, 7);
+        }
+        let err = DbbMatrix::compress(&m, BlockAxis::Cols, DbbConfig::new(2, 8)).unwrap_err();
+        assert_eq!(err, DbbError::BoundExceeded { block: 1, found: 3, bound: 2 });
+    }
+
+    #[test]
+    fn transpose_crosses_tile_edges() {
+        let data: Vec<i8> = (0..37 * 70).map(|i| (i % 251) as i8).collect();
+        let m = Matrix::from_vec(37, 70, data);
+        let t = transpose(&m);
+        for r in 0..37 {
+            for c in 0..70 {
+                assert_eq!(t[c * 37 + r], m.get(r, c));
+            }
         }
     }
 

@@ -8,7 +8,9 @@
 //! per-block Top-NNZ primitive for both `i8` (deployment) and the
 //! magnitude-selection helper shared with the trainer.
 
-use crate::{BlockAxis, DbbConfig, DbbMatrix};
+use crate::block::nonzero_mask;
+use crate::config::MAX_BZ;
+use crate::{BlockAxis, DbbBlock, DbbConfig, DbbMatrix, DbbVector};
 use s2ta_tensor::Matrix;
 
 /// Returns the indices of the `keep` largest-magnitude elements of
@@ -31,23 +33,66 @@ pub fn top_magnitude_indices(block: &[f64], keep: usize) -> Vec<usize> {
     kept
 }
 
+/// The magnitude rank of each element of an integer block of at most
+/// `MAX_BZ` elements: `ranks[i]` counts the elements that outrank
+/// element `i` — a larger magnitude, or an equal one at a lower index —
+/// so the `keep` largest are exactly those ranked below `keep`, in the
+/// order [`top_magnitude_indices`] picks them. Slots past
+/// `block.len()` are meaningless.
+///
+/// Each element's sort key packs its magnitude (`|-128|` is 128) above
+/// its reversed index, so keys are distinct and one compare decides
+/// both the magnitude and the tie. Every key is counted against a whole
+/// fixed-width key row, which compiles to a few vector compares.
+///
+/// # Panics
+///
+/// Panics if `block` has more than `MAX_BZ` elements.
+pub(crate) fn magnitude_ranks(block: &[i8]) -> [u16; MAX_BZ] {
+    assert!(block.len() <= MAX_BZ, "blocks hold at most {MAX_BZ} elements");
+    let mut keys = [0u16; MAX_BZ];
+    for (i, (key, &v)) in keys.iter_mut().zip(block).enumerate() {
+        *key = (v.unsigned_abs() as u16) << 4 | (MAX_BZ - 1 - i) as u16;
+    }
+    let mut ranks = [0u16; MAX_BZ];
+    for &other in &keys[..block.len()] {
+        for (rank, &key) in ranks.iter_mut().zip(&keys) {
+            *rank += (other > key) as u16;
+        }
+    }
+    ranks
+}
+
+/// Positional mask of the `keep` largest-magnitude elements of `block`
+/// (at most `MAX_BZ` elements), ties to the lower index.
+pub(crate) fn top_magnitude_mask(block: &[i8], keep: usize) -> u16 {
+    let ranks = magnitude_ranks(block);
+    ranks[..block.len()]
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &rank)| mask | (((rank as usize) < keep) as u16) << i)
+}
+
+/// Positional mask of what pruning a block of at most `MAX_BZ` elements
+/// to `nnz` keeps: all its non-zeros when they fit the bound, else the
+/// `nnz` largest magnitudes.
+fn pruned_mask(block: &[i8], nnz: usize) -> u16 {
+    let mask = nonzero_mask(block);
+    if mask.count_ones() as usize <= nnz {
+        mask
+    } else {
+        top_magnitude_mask(block, nnz)
+    }
+}
+
 /// Prunes a dense `i8` reduction vector to satisfy `config`, keeping the
 /// largest-magnitude `NNZ` elements of each `BZ` block and zeroing the
 /// rest. Blocks already satisfying the bound are untouched.
 pub fn prune_vector(data: &mut [i8], config: DbbConfig) {
-    let bz = config.bz();
-    for chunk in data.chunks_mut(bz) {
-        let nnz = chunk.iter().filter(|&&v| v != 0).count();
-        if nnz <= config.nnz() {
-            continue;
-        }
-        let mags: Vec<f64> = chunk.iter().map(|&v| (v as f64).abs()).collect();
-        let keep = top_magnitude_indices(&mags, config.nnz());
-        let mut keep_iter = keep.iter().peekable();
+    for chunk in data.chunks_mut(config.bz()) {
+        let keep = pruned_mask(chunk, config.nnz());
         for (i, v) in chunk.iter_mut().enumerate() {
-            if keep_iter.peek() == Some(&&i) {
-                keep_iter.next();
-            } else {
+            if keep & (1 << i) == 0 {
                 *v = 0;
             }
         }
@@ -61,17 +106,23 @@ pub fn prune_matrix(m: &Matrix, axis: BlockAxis, config: DbbConfig) -> Matrix {
     match axis {
         BlockAxis::Rows => {
             let cols = out.cols();
-            for r in 0..out.rows() {
-                let start = r * cols;
-                prune_vector(&mut out.data_mut()[start..start + cols], config);
+            for row in out.data_mut().chunks_mut(cols) {
+                prune_vector(row, config);
             }
         }
         BlockAxis::Cols => {
-            for c in 0..out.cols() {
-                let mut col: Vec<i8> = (0..out.rows()).map(|r| out.get(r, c)).collect();
-                prune_vector(&mut col, config);
-                for (r, v) in col.into_iter().enumerate() {
-                    out.set(r, c, v);
+            let mut block = [0i8; MAX_BZ];
+            for r0 in (0..out.rows()).step_by(config.bz()) {
+                let rows = r0..(r0 + config.bz()).min(out.rows());
+                for c in 0..out.cols() {
+                    let block = &mut block[..rows.len()];
+                    for (v, r) in block.iter_mut().zip(rows.clone()) {
+                        *v = out.get(r, c);
+                    }
+                    prune_vector(block, config);
+                    for (&v, r) in block.iter().zip(rows.clone()) {
+                        out.set(r, c, v);
+                    }
                 }
             }
         }
@@ -80,11 +131,22 @@ pub fn prune_matrix(m: &Matrix, axis: BlockAxis, config: DbbConfig) -> Matrix {
 }
 
 /// Prunes and compresses a weight matrix in one step (rows = reduction
-/// vectors, the weight orientation).
+/// vectors, the weight orientation): each block is compressed straight
+/// from the positions pruning keeps, with no pruned copy of `m`.
+/// Identical to compressing [`prune_matrix`]'s output.
 pub fn prune_and_compress(m: &Matrix, config: DbbConfig) -> DbbMatrix {
-    let pruned = prune_matrix(m, BlockAxis::Rows, config);
-    DbbMatrix::compress(&pruned, BlockAxis::Rows, config)
-        .expect("pruned matrix satisfies its own bound")
+    let vectors = m
+        .data()
+        .chunks(m.cols())
+        .map(|row| {
+            let blocks = row
+                .chunks(config.bz())
+                .map(|chunk| DbbBlock::from_mask(chunk, pruned_mask(chunk, config.nnz()), config))
+                .collect();
+            DbbVector::from_blocks(blocks, row.len(), config)
+        })
+        .collect();
+    DbbMatrix::from_vectors(vectors, BlockAxis::Rows, m.rows(), m.cols(), config)
 }
 
 /// Fraction of the L1 weight magnitude preserved by pruning `m` (rows) to
@@ -155,7 +217,77 @@ mod tests {
         assert!(r4 > r2 && r2 > r1, "retention {r4} {r2} {r1}");
     }
 
+    #[test]
+    fn fused_prune_and_compress_equals_prune_then_compress() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let m = SparseSpec::random(0.3).matrix(9, 45, &mut rng);
+        for nnz in 1..=8 {
+            let cfg = DbbConfig::new(nnz, 8);
+            let staged =
+                DbbMatrix::compress(&prune_matrix(&m, BlockAxis::Rows, cfg), BlockAxis::Rows, cfg)
+                    .unwrap();
+            assert_eq!(prune_and_compress(&m, cfg), staged, "{cfg}");
+        }
+    }
+
+    #[test]
+    fn column_pruning_prunes_each_column_vector() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let m = SparseSpec::random(0.2).matrix(21, 6, &mut rng);
+        let cfg = DbbConfig::new(3, 8);
+        let pruned = prune_matrix(&m, BlockAxis::Cols, cfg);
+        for c in 0..m.cols() {
+            let mut col: Vec<i8> = (0..m.rows()).map(|r| m.get(r, c)).collect();
+            prune_vector(&mut col, cfg);
+            let got: Vec<i8> = (0..m.rows()).map(|r| pruned.get(r, c)).collect();
+            assert_eq!(got, col, "column {c}");
+        }
+    }
+
+    /// `prune_vector` as it was: rank each over-full block's magnitudes
+    /// as `f64`s through [`top_magnitude_indices`].
+    fn oracle_prune_vector(data: &mut [i8], config: DbbConfig) {
+        for chunk in data.chunks_mut(config.bz()) {
+            if chunk.iter().filter(|&&v| v != 0).count() <= config.nnz() {
+                continue;
+            }
+            let mags: Vec<f64> = chunk.iter().map(|&v| (v as f64).abs()).collect();
+            let keep = top_magnitude_indices(&mags, config.nnz());
+            for (i, v) in chunk.iter_mut().enumerate() {
+                if !keep.contains(&i) {
+                    *v = 0;
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_prune_vector_matches_f64_ranking(
+            data in prop::collection::vec(any::<i8>(), 1..80),
+            narrow in prop::collection::vec(-3i8..=3, 1..80),
+            extreme in any::<bool>(),
+            use_narrow in any::<bool>(),
+            bz_pick in 0usize..3,
+            nnz_pick in any::<usize>(),
+        ) {
+            // Narrow values force magnitude ties; the extreme flag seeds
+            // -128 and 127, whose magnitudes differ by one.
+            let mut data = if use_narrow { narrow } else { data };
+            if extreme {
+                data[0] = -128;
+                let last = data.len() - 1;
+                data[last] = 127;
+            }
+            let bz = [4, 8, 16][bz_pick];
+            let cfg = DbbConfig::new(1 + nnz_pick % bz, bz);
+            let mut got = data.clone();
+            prune_vector(&mut got, cfg);
+            let mut expect = data;
+            oracle_prune_vector(&mut expect, cfg);
+            prop_assert_eq!(got, expect);
+        }
+
         #[test]
         fn prop_pruned_satisfies_bound(
             data in prop::collection::vec(any::<i8>(), 8..96),

@@ -218,6 +218,36 @@ mod tests {
         assert_ne!(w1.data()[..16], a.data()[..16]);
     }
 
+    /// FNV-1a over a matrix's shape and row-major bytes.
+    fn digest(m: &Matrix) -> u64 {
+        let shape = [m.rows() as u64, m.cols() as u64];
+        let bytes =
+            shape.iter().flat_map(|d| d.to_le_bytes()).chain(m.data().iter().map(|&v| v as u8));
+        bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn synthesis_digests_are_pinned() {
+        // Pinned when the generator was still a `gen_bool` + uniform
+        // re-draw loop: any change to what a seed synthesizes — and so
+        // to every simulated number downstream — shows up here.
+        let resnet = crate::resnet50_v1();
+        let vgg = crate::vgg16();
+        let got: Vec<(&str, u64, u64)> = [&resnet.layers[10], &vgg.layers[7]]
+            .into_iter()
+            .map(|l| (l.name.as_str(), digest(&l.gen_weights(42)), digest(&l.gen_acts(42))))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("res2c_1x1b", 0xa75e_f1c4_10ba_5de7, 0x9012_3158_25c3_ddc1),
+                ("conv4_1", 0xbc0a_e6b7_71f9_8629, 0xe0f2_29a6_82df_6586),
+            ]
+        );
+    }
+
     #[test]
     fn adbb_suggestion_follows_sparsity() {
         assert_eq!(layer(0.5, 0.05).suggested_adbb(), LayerNnz::Dense); // 7.6 -> dense

@@ -8,7 +8,6 @@
 //! `s2ta-dbb`).
 
 use crate::{Matrix, Tensor4};
-use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
 /// A specification for generating synthetic sparse INT8 data.
@@ -43,13 +42,13 @@ impl SparseSpec {
     }
 
     /// Generates a tensor with this sparsity.
-    pub fn tensor<R: Rng>(&self, dims: [usize; 4], rng: &mut R) -> Tensor4 {
+    pub fn tensor<R: Rng + Clone>(&self, dims: [usize; 4], rng: &mut R) -> Tensor4 {
         let len = dims.iter().product();
         Tensor4::from_vec(dims, self.values(len, rng))
     }
 
     /// Generates a matrix with this sparsity.
-    pub fn matrix<R: Rng>(&self, rows: usize, cols: usize, rng: &mut R) -> Matrix {
+    pub fn matrix<R: Rng + Clone>(&self, rows: usize, cols: usize, rng: &mut R) -> Matrix {
         Matrix::from_vec(rows, cols, self.values(rows * cols, rng))
     }
 
@@ -59,7 +58,7 @@ impl SparseSpec {
     /// sufficient capacity makes the generation allocation-free. Draw
     /// order is identical to [`SparseSpec::matrix`], so the same RNG
     /// state yields a bit-identical matrix.
-    pub fn matrix_into<R: Rng>(
+    pub fn matrix_into<R: Rng + Clone>(
         &self,
         rows: usize,
         cols: usize,
@@ -71,26 +70,53 @@ impl SparseSpec {
         Matrix::from_vec(rows, cols, buf)
     }
 
-    fn values<R: Rng>(&self, len: usize, rng: &mut R) -> Vec<i8> {
+    fn values<R: Rng + Clone>(&self, len: usize, rng: &mut R) -> Vec<i8> {
         let mut out = Vec::with_capacity(len);
         self.values_into(len, rng, &mut out);
         out
     }
 
-    fn values_into<R: Rng>(&self, len: usize, rng: &mut R, out: &mut Vec<i8>) {
-        let dist = Uniform::new_inclusive(-127i8, 127i8);
+    /// Appends `len` values, drawing exactly what one `gen_bool(sparsity)`
+    /// per element plus, for a non-zero, `Uniform::new_inclusive(-127,
+    /// 127)` samples until one is non-zero would draw (a zero re-draws,
+    /// so the realized sparsity tracks the spec) — the same stream and
+    /// the same values, with integer arithmetic only:
+    ///
+    /// * `gen_bool(p)` is `(bits >> 11) * 2^-53 < p`; scaling both sides
+    ///   by `2^53` is exact, so it is the integer test
+    ///   `(bits >> 11) < ceil(p * 2^53)`.
+    /// * The uniform draw over 255 values rejects `bits >= zone` and maps
+    ///   the rest to `bits % 255 - 127`; a zero (`bits % 255 == 127`)
+    ///   re-draws too. Only such a rejection (about 1 draw in 255) takes
+    ///   the re-draw loop.
+    /// * Each element computes both successor generator states — past
+    ///   the decision draw, and past the value draw too — and keeps one.
+    ///   The compiler is left to pick branch or select: on x86-64 a
+    ///   forced select (`std::hint::select_unpredictable`) measured
+    ///   slower, since the choice then waits on the decision draw's
+    ///   output multiply.
+    fn values_into<R: Rng + Clone>(&self, len: usize, rng: &mut R, out: &mut Vec<i8>) {
+        const SPAN: u64 = 255;
+        let zone = (u64::MAX / SPAN) * SPAN;
+        let zero_below = (self.sparsity * (1u64 << 53) as f64).ceil() as u64;
+        let accept = |bits: u64| bits < zone && bits % SPAN != 127;
         out.extend((0..len).map(|_| {
-            if rng.gen_bool(self.sparsity) {
+            let zero = (rng.next_u64() >> 11) < zero_below;
+            let mut drawn = rng.clone();
+            let mut bits = drawn.next_u64();
+            if !zero && !accept(bits) {
+                bits = loop {
+                    let b = drawn.next_u64();
+                    if accept(b) {
+                        break b;
+                    }
+                };
+            }
+            if zero {
                 0
             } else {
-                // Re-draw zeros so "non-zero" positions are truly
-                // non-zero and the realized sparsity tracks the spec.
-                loop {
-                    let v = dist.sample(rng);
-                    if v != 0 {
-                        break v;
-                    }
-                }
+                *rng = drawn;
+                ((bits % SPAN) as i16 - 127) as i8
             }
         }));
     }
@@ -190,6 +216,9 @@ impl SparsityStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::distributions::{Distribution, Uniform};
+    use rand::rngs::mock::StepRng;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -242,6 +271,82 @@ mod tests {
         let m = SparseSpec::random(0.5).matrix(128, 128, &mut rng);
         let d = BlockDensity::of_cols(&m, 8);
         assert!((d.mean_nnz() - 4.0).abs() < 0.2, "mean {}", d.mean_nnz());
+    }
+
+    /// The draw-by-draw generator `values_into` replaces: one
+    /// `gen_bool` per element, then uniform draws until a non-zero.
+    fn oracle_values<R: Rng>(sparsity: f64, len: usize, rng: &mut R) -> Vec<i8> {
+        let dist = Uniform::new_inclusive(-127i8, 127i8);
+        (0..len)
+            .map(|_| {
+                if rng.gen_bool(sparsity) {
+                    0
+                } else {
+                    loop {
+                        let v = dist.sample(rng);
+                        if v != 0 {
+                            break v;
+                        }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// A sparsity from one of four families: exactly 0, exactly 1, a
+    /// multiple of `2^-53` (so `p * 2^53` is an integer) and a random
+    /// `[0, 1)` float (almost never such a multiple).
+    fn sparsity_case(family: u8, steps: u64, raw: f64) -> f64 {
+        match family {
+            0 => 0.0,
+            1 => 1.0,
+            2 => steps as f64 / (1u64 << 53) as f64,
+            _ => raw,
+        }
+    }
+
+    #[test]
+    fn generator_matches_oracle_at_the_threshold() {
+        // A counter generator walks the decision draws across the
+        // threshold `ceil(p * 2^53)`: the draw one below it must give a
+        // zero, the draw equal to it a non-zero. `p = k * 2^-53` puts
+        // the threshold on k itself; `p = (k + 1/2) * 2^-53` just above.
+        let unit = (1u64 << 53) as f64;
+        for k in [1u64, 3, 1 << 52, (1 << 53) - 2] {
+            for (p, threshold) in [(k as f64 / unit, k), ((k as f64 + 0.5) / unit, k + 1)] {
+                for start in [threshold - 1, threshold] {
+                    let mut rng = StepRng::new(start << 11, 1 << 11);
+                    let mut oracle_rng = rng.clone();
+                    let got = SparseSpec::random(p).values(16, &mut rng);
+                    assert_eq!(got, oracle_values(p, 16, &mut oracle_rng), "p = {p:e}");
+                    assert_eq!(rng, oracle_rng, "p = {p:e} left the streams apart");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_generator_matches_oracle(
+            family in 0u8..4,
+            steps in 0u64..=(1u64 << 53),
+            raw in 0.0f64..1.0,
+            len in 0usize..300,
+            seed in any::<u64>(),
+        ) {
+            let p = sparsity_case(family, steps, raw);
+            let spec = SparseSpec::random(p);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = rng.clone();
+            let mut out = vec![5i8; 3];
+            spec.values_into(len, &mut rng, &mut out);
+            let mut expect = vec![5i8; 3];
+            expect.extend(oracle_values(p, len, &mut oracle_rng));
+            prop_assert_eq!(out, expect);
+            // Both leave the generator in the same state, so later draws
+            // from it agree too.
+            prop_assert_eq!(rng, oracle_rng);
+        }
     }
 
     #[test]
