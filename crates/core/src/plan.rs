@@ -422,6 +422,11 @@ impl WeightPlanCache {
         Self { budget: Some(budget), ..Self::default() }
     }
 
+    /// `true` if `other` is a handle to this same memo table.
+    pub fn shares_table_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// Returns the cached plan for `(model, weight_seed)`, compiling it
     /// with `acc` on first use.
     ///

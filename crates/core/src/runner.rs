@@ -1,6 +1,7 @@
 //! The accelerator runner: layers and models through the simulated
 //! datapaths, with the DBB toolchain applied where configured.
 
+use crate::plan::ActProfile;
 use crate::plan::{ActProfileCache, LayerPlan, PlannedWeights, WeightPlanCache, WeightResidency};
 use crate::scratch::Scratch;
 use crate::{ArchConfig, ArchKind, LayerReport, ModelReport};
@@ -9,6 +10,7 @@ use s2ta_dbb::{prune, BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
 use s2ta_sim::{smt, systolic, tpe, EventCounts};
 use s2ta_tensor::Matrix;
+use std::sync::Arc;
 
 /// Which host-side execution path planned runs
 /// ([`Accelerator::run_stage`] and everything built on it) take.
@@ -215,13 +217,7 @@ impl Accelerator {
         residency: WeightResidency,
     ) -> LayerReport {
         let geom = &self.config.geometry;
-        let prof = self.act_profiles.get_or_profile(
-            layer,
-            act_seed,
-            geom.tile_cols(),
-            geom.bz,
-            plan.adbb(),
-        );
+        let prof = self.act_profile(plan, layer, act_seed);
         let (k, n) = prof.shape();
         let wp = plan.weight_profile();
         let mut events = match (self.config.kind, plan.weights()) {
@@ -416,6 +412,36 @@ impl Accelerator {
         total
     }
 
+    /// Compiles the activation profiles a profiled run of `model` on
+    /// `act_seed` reads (each layer's [`ActProfileCache`] entry, with the
+    /// side this architecture consumes) and simulates nothing. The
+    /// reference path reads no profiles, so there this does nothing.
+    pub fn warm_act_profiles(
+        &self,
+        plan: &crate::plan::ModelPlan,
+        model: &ModelSpec,
+        act_seed: u64,
+        scratch: &mut Scratch,
+    ) {
+        if self.exec_path == ExecPath::Reference {
+            return;
+        }
+        for (l, lp) in model.layers.iter().zip(&plan.layers) {
+            let prof = self.act_profile(lp, l, act_seed);
+            match self.config.kind {
+                ArchKind::S2taAw => _ = prof.postdap_side_with(scratch),
+                _ => _ = prof.dense_with(scratch),
+            }
+        }
+    }
+
+    /// The shared-cache entry of layer `l`'s activations on `seed`
+    /// under this array's strip width and DAP scope.
+    fn act_profile(&self, lp: &LayerPlan, l: &LayerSpec, seed: u64) -> Arc<ActProfile> {
+        let geom = &self.config.geometry;
+        self.act_profiles.get_or_profile(l, seed, geom.tile_cols(), geom.bz, lp.adbb())
+    }
+
     /// One layer of [`Accelerator::run_stage_events`]: the profiled
     /// event derivation of [`Accelerator::run_layer_profiled`], routed
     /// through the `_into` datapath entry points and the caller's
@@ -429,13 +455,7 @@ impl Accelerator {
         scratch: &mut Scratch,
     ) -> EventCounts {
         let geom = &self.config.geometry;
-        let prof = self.act_profiles.get_or_profile(
-            layer,
-            act_seed,
-            geom.tile_cols(),
-            geom.bz,
-            plan.adbb(),
-        );
+        let prof = self.act_profile(plan, layer, act_seed);
         let (k, n) = prof.shape();
         let wp = plan.weight_profile();
         let mut events = EventCounts::default();

@@ -357,7 +357,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's horizon is zero.
+    /// Panics if the spec's horizon is zero, or if a shard runs
+    /// [`crate::PlacementStrategy::Pipelined`] (see
+    /// [`Fleet::with_faults`]).
     pub fn with_faults(mut self, config: FaultConfig) -> Self {
         let lanes_per_shard: Vec<usize> = self.shards.iter().map(Fleet::workers).collect();
         let plan = config.spec.schedule(&lanes_per_shard);
@@ -587,6 +589,16 @@ impl Cluster {
         // of the *global* stream, regardless of where it was routed;
         // every shard replays the same horizon.
         let horizon = requests.last().map(|r| r.arrival);
+        // Shard threads sharing one plan cache would race its cold
+        // compiles, so those shards compile their routed models first
+        // (the first of a cache compiles, the rest hit).
+        for (s, (fleet, own)) in self.shards.iter().zip(&per_shard).enumerate() {
+            let plans = fleet.accelerator().plans();
+            let mut others = self.shards.iter().enumerate().filter(|&(t, _)| t != s);
+            if others.any(|(_, other)| other.accelerator().plans().shares_table_with(plans)) {
+                fleet.precompile_plans(&fleet.scopes(), models, own.iter().map(|(r, _)| r.model));
+            }
+        }
         let shard_ids: Vec<usize> = (0..n).collect();
         let results =
             executor.map(&shard_ids, |&s| self.run_shard(s, models, &per_shard[s], horizon));

@@ -6,22 +6,26 @@
 //! 2×S2TA-AW + 2×SA-ZVCG). Every lane shares one fleet-wide
 //! [`s2ta_core::WeightPlanCache`] keyed by `(arch, model, seed)`, so
 //! each architecture compiles each model's W-DBB plans exactly once.
-//! Three client modes are served:
+//! Requests enter through two entry points, both driven by one
+//! event-driven engine:
 //!
-//! * [`Fleet::serve`] — **open loop, fixed policy**: the arrival stream
-//!   is folded into batches up front (fleet-size independent, see
-//!   [`crate::scheduler`]), every batch's cycle simulation fans out
-//!   over the persistent host executor
-//!   ([`s2ta_core::pool::Executor`]), and the batches are then placed
-//!   on the N simulated lanes.
-//! * [`Fleet::serve_adaptive`] — **open loop, adaptive policy**: the
-//!   same arrival stream driven through the event-driven engine so a
-//!   [`BatchPolicy`] can steer per-model `max_batch`/`max_wait` from
-//!   observed completions.
-//! * [`Fleet::serve_closed_loop`] — **closed loop**: C concurrent
+//! * **Open loop** — [`Fleet::serve`] (the fleet's [`FixedPolicy`]) and
+//!   [`Fleet::serve_adaptive`] (any [`BatchPolicy`], which can steer
+//!   per-model `max_batch`/`max_wait` from observed completions) replay
+//!   a pre-generated arrival stream. `serve` is exactly
+//!   `serve_adaptive` with the fleet's fixed policy.
+//! * **Closed loop** — [`Fleet::serve_closed_loop`]: C concurrent
 //!   clients ([`crate::ClosedLoopSpec`]) each issue their next request
 //!   only after the previous one completes; arrivals are iterated
 //!   per-request in simulated time as a fixed point of the placement.
+//!
+//! Before an open-loop run the engine's **cold fill** fans out over the
+//! persistent host executor ([`s2ta_core::pool::Executor`]): every
+//! `(model, act_seed)` input the stream uses more than once has its
+//! activation profiles compiled on every lane scope, so a warm fleet's
+//! recurring traffic compiles in parallel instead of one seal at a
+//! time. Nothing is simulated; a stream of unique inputs is not filled.
+//! The fill changes host time and the cache counters only.
 //!
 //! **Placement** is governed by [`PlacementStrategy`]: the default
 //! earliest-free rule is arch-blind, while
@@ -32,45 +36,41 @@
 //! rule collapses to earliest-free exactly, so enabling it can never
 //! change a clone-fleet's results.
 //!
-//! **Concurrent lane execution**: a batch's service time is a pure
-//! function of `(batch, lane architecture)`, so the event-driven engine
-//! executes multi-batch bursts *speculatively* on the host pool — when
-//! several batches seal at one event, each later placement depends on
-//! the earlier batches' measured completions, so every sealed batch
-//! simulates on every distinct lane architecture ahead of the (serial,
-//! deterministic) placement decisions, which then consume the memoized
-//! result of whichever lane they pick. (A single-batch seal resolves
-//! its lane first and simulates only that lane's scope — its choice
-//! never depends on its own execution.) Parallel execution is
-//! byte-identical to the serial engine because the simulations are
-//! pure and [`s2ta_core::pool::Executor::map`] is order-preserving;
-//! [`Fleet::with_host_parallelism`] pins the host worker count (it can
-//! change wall-clock time only, never results).
+//! **Concurrent lane execution**: several batches sealed at one event
+//! simulate *speculatively* on every distinct lane architecture in one
+//! host-pool fan-out, ahead of the serial placement that consumes
+//! whichever lane's result it picks; a single-batch seal simulates only
+//! its chosen lane. Simulations are pure and
+//! [`s2ta_core::pool::Executor::map`] is order-preserving, so
+//! [`Fleet::with_host_parallelism`] changes wall-clock time only, never
+//! results.
 //!
-//! All three modes honor the fleet's admission bound
+//! Both entry points honor the fleet's admission bound
 //! ([`Fleet::with_queue_capacity`]): a request arriving while its model
 //! lane is full is tail-dropped and surfaced as
 //! [`RequestOutcome::Dropped`].
 //!
 //! Simulated results never depend on host thread timing: batch events
 //! are a pure function of the batch and the executing lane's
-//! architecture, and both the up-front placement and the event-driven
-//! engine are deterministic. The `outcomes` list in the returned
-//! [`ServeReport`] is sorted by request id post-placement (it is
-//! assembled in batch/dispatch order internally), so
-//! `outcomes[i].id() == i` always holds for a dense arrival stream.
+//! architecture, and the engine is deterministic. The `outcomes` list
+//! in the returned [`ServeReport`] is sorted by request id (it is
+//! assembled in dispatch order internally), so `outcomes[i].id() == i`
+//! always holds for a dense arrival stream. The scheduler's up-front
+//! formation and placement
+//! ([`crate::Scheduler::form_batches_bounded`],
+//! [`crate::Scheduler::place_on_lanes`]) are the reference a
+//! fixed-policy earliest-free run is tested against.
 
 use crate::fault::{FaultConfig, FaultState, FaultTimeline, TimelineEvent, WindowEdge};
 use crate::pipeline::PipelinePlan;
 use crate::policy::{BatchObservation, BatchPolicy, FixedPolicy};
 use crate::queue::RequestQueue;
 use crate::report::{
-    DroppedRequest, FailedRequest, FaultStats, HistogramCell, ModelServeStats, PipelineStageStats,
+    DroppedRequest, FailedRequest, HistogramCell, ModelServeStats, PipelineStageStats,
     PlanCacheActivity, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
 };
 use crate::scheduler::{
-    affinity_lane, earliest_free_lane, DeadlineHeap, Formation, PlacementStrategy, Scheduler,
-    ServiceEstimator,
+    affinity_lane, earliest_free_lane, DeadlineHeap, PlacementStrategy, ServiceEstimator,
 };
 use crate::timewheel::TimerWheel;
 use crate::trace::{TraceCell, TraceConfig, TraceEvent, TraceEventKind, TraceState};
@@ -84,6 +84,11 @@ use s2ta_sim::EventCounts;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::time::Instant;
+
+/// Why a fleet refuses fault injection together with pipelined
+/// placement (in either builder order).
+const FAULTS_WITH_PIPELINE: &str =
+    "fault injection models monolithic lane execution; pipelined placement is unsupported";
 
 /// One serving lane: a simulated accelerator instance with its own
 /// architecture, executing one batch at a time in simulated time.
@@ -290,7 +295,7 @@ fn arch_label(kinds: impl Iterator<Item = ArchKind>) -> String {
 #[derive(Debug, Clone)]
 pub struct Fleet {
     lanes: Vec<Lane>,
-    scheduler: Scheduler,
+    policy: FixedPolicy,
     weight_seed: u64,
     queue_capacity: Option<usize>,
     placement: PlacementStrategy,
@@ -372,7 +377,7 @@ impl Fleet {
     fn from_lanes(lanes: Vec<Lane>) -> Self {
         Self {
             lanes,
-            scheduler: Scheduler::new(FixedPolicy::default()),
+            policy: FixedPolicy::default(),
             weight_seed: 42,
             queue_capacity: None,
             placement: PlacementStrategy::default(),
@@ -386,7 +391,7 @@ impl Fleet {
 
     /// Replaces the fixed batching policy used by [`Fleet::serve`].
     pub fn with_policy(mut self, policy: FixedPolicy) -> Self {
-        self.scheduler = Scheduler::new(policy);
+        self.policy = policy;
         self
     }
 
@@ -437,7 +442,17 @@ impl Fleet {
     }
 
     /// Replaces the placement strategy (default: earliest-free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `placement` is [`PlacementStrategy::Pipelined`] and a
+    /// fault schedule is attached (fault injection models monolithic
+    /// lane execution only).
     pub fn with_placement(mut self, placement: PlacementStrategy) -> Self {
+        assert!(
+            placement != PlacementStrategy::Pipelined || self.fault.is_none(),
+            "{FAULTS_WITH_PIPELINE}"
+        );
         self.placement = placement;
         self
     }
@@ -451,12 +466,12 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `stages` is zero.
+    /// Panics if `stages` is zero, or if a fault schedule is attached
+    /// (see [`Fleet::with_placement`]).
     pub fn with_pipeline(mut self, stages: usize) -> Self {
         assert!(stages > 0, "a pipeline needs at least one stage");
         self.pipeline_stages = stages;
-        self.placement = PlacementStrategy::Pipelined;
-        self
+        self.with_placement(PlacementStrategy::Pipelined)
     }
 
     /// Bounds every inter-stage activation queue to `capacity` pending
@@ -499,9 +514,8 @@ impl Fleet {
     /// a preallocated drop-oldest flight recorder of typed engine
     /// events plus fixed-interval metrics time-series, surfaced on the
     /// report through [`ServeReport::trace`]. Tracing never changes
-    /// simulated results — the traced run routes through the
-    /// event-driven engine, which is byte-identical to the vectorized
-    /// path for fixed policies.
+    /// simulated results: the recorder hooks sit in the engine's event
+    /// handlers, and a traced run's report equals the untraced one.
     ///
     /// # Panics
     ///
@@ -525,6 +539,11 @@ impl Fleet {
     /// under the config's [`crate::RetryPolicy`], applies slowdown
     /// factors, and surfaces everything as [`FaultStats`] on the
     /// report. See [`crate::FaultSpec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fleet runs [`PlacementStrategy::Pipelined`] (fault
+    /// injection models monolithic lane execution only).
     pub fn with_faults(self, config: FaultConfig) -> Self {
         let plan = config.spec.schedule(&[self.workers()]);
         let timeline = plan.shard_timeline(0);
@@ -544,6 +563,7 @@ impl Fleet {
             self.workers(),
             "fault timeline must cover exactly this fleet's lanes"
         );
+        assert!(self.placement != PlacementStrategy::Pipelined, "{FAULTS_WITH_PIPELINE}");
         self.fault = Some((config, timeline));
         self
     }
@@ -577,7 +597,7 @@ impl Fleet {
     /// The configured fixed batching policy (a fresh copy — the
     /// cluster router gives each shard engine its own instance).
     pub(crate) fn fixed_policy(&self) -> FixedPolicy {
-        self.scheduler.policy()
+        self.policy
     }
 
     /// The fleet's composition label (see [`FleetSpec::label`]).
@@ -595,7 +615,7 @@ impl Fleet {
     /// Groups the lanes into execution scopes: lanes with equal
     /// accelerator configurations produce byte-identical batch
     /// executions, so each batch only ever simulates once per scope.
-    fn scopes(&self) -> LaneScopes {
+    pub(crate) fn scopes(&self) -> LaneScopes {
         let mut rep: Vec<usize> = Vec::new();
         let mut of_lane: Vec<usize> = Vec::with_capacity(self.lanes.len());
         for (i, lane) in self.lanes.iter().enumerate() {
@@ -611,24 +631,19 @@ impl Fleet {
         LaneScopes { of_lane, rep }
     }
 
-    /// Simulates every batch of `work` (`(model index, members)`
-    /// pairs) on **every** distinct lane scope in one order-preserving
-    /// host-pool fan-out — the speculative execution shared by the
-    /// vectorized path and the event-driven engine. The result for
-    /// batch `b` on lane `l` lives at [`LaneScopes::exec_index`]`(b,
-    /// l)`; results are pure, so any host worker count produces the
-    /// identical vector.
-    fn execute_on_scopes(
+    /// Compiles the weight plan of every model `used` names (indices
+    /// into `models`, repeats allowed) once per lane scope of `scopes`,
+    /// dense scopes included. A parallel fan-out that follows then
+    /// starts with a warm plan cache instead of racing compiles of the
+    /// same plan: [`WeightPlanCache`] compiles outside its lock, so two
+    /// first users of one plan would both compile it.
+    pub(crate) fn precompile_plans(
         &self,
         scopes: &LaneScopes,
         models: &[ModelSpec],
-        work: &[(usize, &[Request])],
-    ) -> Vec<BatchExecution> {
-        // Compile each used model's weight plan once per scope — dense
-        // scopes included, now that dense plans are memoized — before
-        // fan-out, so the parallel phase starts with a warm cache
-        // instead of racing compiles of the same plan.
-        let mut used: Vec<usize> = work.iter().map(|&(model, _)| model).collect();
+        used: impl IntoIterator<Item = usize>,
+    ) {
+        let mut used: Vec<usize> = used.into_iter().collect();
         used.sort_unstable();
         used.dedup();
         for &rep in &scopes.rep {
@@ -637,156 +652,92 @@ impl Fleet {
                 acc.plan_model(&models[m], self.weight_seed);
             }
         }
-        // The host pool is sized to the machine, not to the simulated
-        // fleet: only placement sees the N lanes. The persistent
-        // work-stealing executor serves every burst — no per-burst
-        // thread spawns.
-        let n_scopes = scopes.count();
-        let jobs: Vec<usize> = (0..work.len() * n_scopes).collect();
+    }
+
+    /// Runs `job` for every item on every distinct lane scope in one
+    /// order-preserving fan-out over the persistent host executor (sized
+    /// to the machine, not to the simulated fleet; no per-call thread
+    /// spawns). Item `i`'s result on lane `l` lives at
+    /// [`LaneScopes::exec_index`]`(i, l)`.
+    fn on_every_scope<T: Sync, U: Send>(
+        &self,
+        scopes: &LaneScopes,
+        items: &[T],
+        job: impl Fn(&T, &Lane) -> U + Sync,
+    ) -> Vec<U> {
+        let n = scopes.count();
+        let jobs: Vec<usize> = (0..items.len() * n).collect();
         pool::Executor::global().map_capped(&jobs, self.host_parallelism, |&j| {
-            let (b, s) = (j / n_scopes, j % n_scopes);
-            let (model, members) = work[b];
-            self.lanes[scopes.rep[s]].execute_batch(&models[model], members, self.weight_seed)
+            job(&items[j / n], &self.lanes[scopes.rep[j % n]])
         })
     }
 
+    /// The open-loop cold fill (see the module doc): compiles the
+    /// activation profiles of every `(model, act_seed)` input the stream
+    /// uses more than once, in first-use order, on every lane scope, in
+    /// one host-pool fan-out. It pays off only on recurring inputs,
+    /// which the engine would otherwise compile one seal at a time; an
+    /// input used once compiles at that use, on the one scope that runs
+    /// it. Neither a byte-budgeted cache (it could evict what the fill
+    /// warms before the engine reads it) nor a fleet on the reference
+    /// path (it reads no profiles) is filled. Inputs whose every request
+    /// admission drops are warmed for nothing.
+    fn fill_caches(&self, scopes: &LaneScopes, models: &[ModelSpec], requests: &[Request]) {
+        let acc = self.accelerator();
+        if acc.exec_path() == ExecPath::Reference || acc.act_profiles().byte_budget().is_some() {
+            return;
+        }
+        let mut uses: HashMap<(usize, u64), usize> = HashMap::new();
+        for r in requests {
+            *uses.entry((r.model, r.act_seed)).or_default() += 1;
+        }
+        // Taking the count at a pair's first use keeps each pair once.
+        let work: Vec<(usize, u64)> = requests
+            .iter()
+            .map(|r| (r.model, r.act_seed))
+            .filter(|pair| uses.get_mut(pair).is_some_and(|n| std::mem::take(n) > 1))
+            .collect();
+        self.precompile_plans(scopes, models, work.iter().map(|&(model, _)| model));
+        self.on_every_scope(scopes, &work, |&(model, act_seed), lane| {
+            let plan = lane.accelerator.plan_model(&models[model], self.weight_seed);
+            let mut scratch = lane.scratch.checkout();
+            lane.accelerator.warm_act_profiles(&plan, &models[model], act_seed, &mut scratch);
+            lane.scratch.restore(scratch);
+        });
+    }
+
     /// Serves an open-loop request stream against `models` with the
-    /// fleet's fixed policy and reports.
+    /// fleet's fixed policy and reports: [`Fleet::serve_adaptive`] with
+    /// a fresh copy of that [`FixedPolicy`].
     ///
-    /// Batch formation (and admission, if a queue capacity is set)
-    /// depends only on the arrival stream, so the batch set and drop
-    /// set are identical for every fleet size; on a **homogeneous**
-    /// fleet the aggregate event totals are fleet-size independent too
-    /// (a heterogeneous fleet's totals depend on which lane ran each
-    /// batch, by design). Batch simulation fans out over the host
-    /// thread pool. With [`PlacementStrategy::Affinity`] the stream is
-    /// driven through the event-driven engine instead, so the service
-    /// estimates can bootstrap as the run progresses.
+    /// Under a fixed policy, batch formation (and admission, if a queue
+    /// capacity is set) depends only on the arrival stream, so the
+    /// batch set and drop set are identical for every fleet size; on a
+    /// fault-free **homogeneous** fleet with monolithic placement the
+    /// aggregate event totals are fleet-size independent too (a
+    /// heterogeneous fleet's totals depend on which lane ran each
+    /// batch, by design).
     ///
     /// # Panics
     ///
     /// Panics if a request names a model index outside `models`, or if
     /// arrivals are unsorted.
     pub fn serve(&self, models: &[ModelSpec], requests: &[Request]) -> ServeReport {
-        if self.placement != PlacementStrategy::EarliestFree
-            || self.trace.is_some()
-            || self.fault.is_some()
-        {
-            // Affinity needs the run's own completion feedback and the
-            // pipeline needs per-stage scheduling state; the engine
-            // replays the same formation decisions in event order, so
-            // this is the identical computation with a richer dispatch
-            // rule. Traced runs take the engine too: its event handlers
-            // are where the flight-recorder hooks live, and its report
-            // is byte-identical to this path for fixed policies. Fault
-            // injection lives entirely in the engine's event loop.
-            let mut policy = self.scheduler.policy();
-            return self.serve_adaptive(models, requests, &mut policy);
-        }
-        let cache_before = self.accelerator().plans().stats();
-        let act_cache_before = self.accelerator().act_profiles().stats();
-        let Formation { batches, dropped, timeout_sealed } =
-            self.scheduler.form_batches_bounded(requests, models.len(), self.queue_capacity);
-        let scopes = self.scopes();
-
-        let work: Vec<(usize, &[Request])> =
-            batches.iter().map(|b| (b.model, b.requests.as_slice())).collect();
-        let executions = self.execute_on_scopes(&scopes, models, &work);
-        let exec_of = |batch: usize, lane: usize| executions[scopes.exec_index(batch, lane)];
-
-        // Deterministic earliest-free placement of the measured batches
-        // on the simulated lanes, with each lane's own service time.
-        let placements = self.scheduler.place_on_lanes(
-            &batches,
-            |batch, lane| exec_of(batch, lane).service_cycles,
-            self.lanes.len(),
-        );
-
-        let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(requests.len() + dropped.len());
-        let mut workers: Vec<WorkerStats> =
-            self.lanes.iter().map(|l| WorkerStats::new(l.arch())).collect();
-        let mut total_events = EventCounts::default();
-        let mut makespan = 0u64;
-        for (batch, placement) in batches.iter().zip(&placements) {
-            let exec = exec_of(batch.id, placement.worker);
-            total_events += exec.events;
-            makespan = makespan.max(placement.completion);
-            let lane = &mut workers[placement.worker];
-            lane.busy_cycles += exec.service_cycles;
-            lane.batches += 1;
-            lane.requests += batch.requests.len();
-            lane.events += exec.events;
-            for r in &batch.requests {
-                outcomes.push(RequestOutcome::Served(ServedRequest {
-                    id: r.id,
-                    model: models[batch.model].name.to_string(),
-                    arrival: r.arrival,
-                    start: placement.start,
-                    completion: placement.completion,
-                    batch: batch.id,
-                    worker: placement.worker,
-                }));
-            }
-        }
-        for r in &dropped {
-            outcomes.push(RequestOutcome::Dropped(DroppedRequest {
-                id: r.id,
-                model: models[r.model].name.to_string(),
-                arrival: r.arrival,
-            }));
-        }
-        outcomes.sort_by_key(RequestOutcome::id);
-
-        // Per-model admission/deadline accounting: a drop charges the
-        // dropped request's model; a timeout-sealed batch charges every
-        // member as a deadline miss (the batch waited out its full
-        // `max_wait` instead of filling).
-        let mut per_model: Vec<ModelServeStats> = models
-            .iter()
-            .map(|m| ModelServeStats {
-                model: m.name.to_string(),
-                dropped: 0,
-                deadline_misses: 0,
-                failed: 0,
-            })
-            .collect();
-        for r in &dropped {
-            per_model[r.model].dropped += 1;
-        }
-        for (batch, &timed_out) in batches.iter().zip(&timeout_sealed) {
-            if timed_out {
-                per_model[batch.model].deadline_misses += batch.requests.len() as u64;
-            }
-        }
-
-        ServeReport {
-            arch: self.arch_label(),
-            policy: "fixed".to_string(),
-            outcomes,
-            batches: batches.len(),
-            workers,
-            total_events,
-            makespan_cycles: makespan,
-            pipeline_stages: Vec::new(),
-            per_model,
-            fault: FaultStats::default(),
-            plan_cache: PlanCacheActivity::new(
-                self.accelerator().plans().stats().since(cache_before),
-                self.accelerator().act_profiles().stats().since(act_cache_before),
-            ),
-            latency_hist: HistogramCell::default(),
-            trace: TraceCell::default(),
-        }
+        let mut policy = self.policy;
+        self.serve_adaptive(models, requests, &mut policy)
     }
 
     /// Serves an open-loop request stream through the event-driven
     /// engine, letting `policy` adapt its batch bounds from observed
     /// completions.
     ///
-    /// With a [`FixedPolicy`] matching the fleet's and earliest-free
-    /// placement, this produces the identical report to
-    /// [`Fleet::serve`] (the engine replays the same formation and
-    /// placement decisions in event order); an adaptive policy such as
+    /// The stream's cold cache fill fans out over the host executor
+    /// first (each recurring `(model, act_seed)` input has its profiles
+    /// compiled on every lane scope; see the module doc); the engine
+    /// then replays the arrivals in event order. With a [`FixedPolicy`] and
+    /// earliest-free placement its batches and placements are exactly
+    /// [`crate::Scheduler::form_batches_bounded`] followed by
+    /// [`crate::Scheduler::place_on_lanes`]; an adaptive policy such as
     /// [`crate::SloAwarePolicy`] trades batch depth against observed
     /// tail latency as the run progresses. The run is deterministic for
     /// a fixed `(stream, policy, fleet spec, placement)`.
@@ -801,8 +752,11 @@ impl Fleet {
         requests: &[Request],
         policy: &mut dyn BatchPolicy,
     ) -> ServeReport {
-        let mut arrivals = ArrivalSource::open(requests);
-        Engine::new(self, models).run(&mut arrivals, policy)
+        let engine = Engine::new(self, models);
+        // After `Engine::new`: its cache snapshot must cover the fill,
+        // so the report still counts the run's cold compiles.
+        self.fill_caches(&engine.scopes, models, requests);
+        engine.run(&mut ArrivalSource::open(requests), policy)
     }
 
     /// Serves a closed-loop client population: each of the spec's C
@@ -838,7 +792,7 @@ struct BatchExecution {
 /// Lanes grouped by accelerator configuration: `of_lane[l]` is lane
 /// `l`'s scope index, `rep[s]` a representative lane of scope `s`.
 #[derive(Debug, Clone)]
-struct LaneScopes {
+pub(crate) struct LaneScopes {
     of_lane: Vec<usize>,
     rep: Vec<usize>,
 }
@@ -850,7 +804,7 @@ impl LaneScopes {
     }
 
     /// Index of batch `batch`'s execution on lane `lane` inside a
-    /// [`Fleet::execute_on_scopes`] result (scope-minor layout).
+    /// [`Fleet::on_every_scope`] result (scope-minor layout).
     fn exec_index(&self, batch: usize, lane: usize) -> usize {
         batch * self.rep.len() + self.of_lane[lane]
     }
@@ -992,14 +946,15 @@ const FAULT_KIND: u8 = 4;
 /// three event kinds — batch completions, request arrivals, and batch
 /// wait-deadline expiries — processed in `(time, kind)` order
 /// (completions, then arrivals, then deadlines at equal times, which
-/// reproduces the stream-fold path's `deadline < now` boundary: an
-/// arrival exactly at a deadline still joins the batch).
+/// reproduces [`crate::Scheduler::form_batches_bounded`]'s
+/// `deadline < now` boundary: an arrival exactly at a deadline still
+/// joins the batch).
 ///
-/// Batches sealed at one event are executed **speculatively**: every
-/// sealed batch simulates on every distinct lane scope through the
-/// host pool before the serial placement loop picks lanes, so the
-/// expensive cycle simulations overlap on host threads while the
-/// simulated-time decisions stay exactly serial.
+/// Several batches sealed at one event are executed
+/// **speculatively**: every sealed batch simulates on every distinct
+/// lane scope through the host pool before the serial placement loop
+/// picks lanes, so the expensive cycle simulations overlap on host
+/// threads while the simulated-time decisions stay exactly serial.
 pub(crate) struct Engine<'a> {
     fleet: &'a Fleet,
     models: &'a [ModelSpec],
@@ -1089,10 +1044,6 @@ struct StageStatsAccum {
 
 impl<'a> Engine<'a> {
     pub(crate) fn new(fleet: &'a Fleet, models: &'a [ModelSpec]) -> Self {
-        assert!(
-            fleet.fault.is_none() || fleet.placement != PlacementStrategy::Pipelined,
-            "fault injection models monolithic lane execution; pipelined placement is unsupported"
-        );
         Self {
             fleet,
             models,
@@ -1574,8 +1525,8 @@ impl<'a> Engine<'a> {
         let members = self.queue.pop_batch(lane, limits.max_batch.max(1));
         debug_assert!(!members.is_empty());
         // Every member of a timeout-sealed batch waited out the full
-        // `max_wait` — the deadline-miss unit the per-model accounting
-        // and the vectorized `close_timed_out` classification share.
+        // `max_wait`: the deadline-miss unit of the per-model
+        // accounting, and of `Formation::timeout_sealed`.
         self.missed_per_model[lane] += members.len() as u64;
         if let Some(tr) = self.trace.as_mut() {
             tr.record(TraceEvent {
@@ -1890,18 +1841,21 @@ impl<'a> Engine<'a> {
     }
 
     /// Executes and places a burst of batches sealed off one model
-    /// lane at one event.
+    /// lane at one event — the one place every batch of every serving
+    /// entry point is simulated and placed.
     ///
     /// A single-batch burst (the common case) resolves its lane first —
     /// the choice never depends on the batch's own execution — and
-    /// simulates only that lane's scope. A multi-batch burst executes
-    /// **speculatively**: later batches' placements depend on earlier
-    /// batches' measured completions, so every batch simulates on every
-    /// distinct lane scope in one host-pool fan-out before the serial
-    /// placement loop consumes the memoized result of whichever lane it
-    /// picks. Either way the result is byte-identical to a serial
-    /// engine, because every simulation is a pure function of
-    /// `(batch, lane scope)`.
+    /// simulates only that lane's scope, on the calling thread; on an
+    /// open-loop run of recurring inputs the cold fill has already
+    /// compiled the profiles it reads.
+    /// A multi-batch burst executes **speculatively**: later batches'
+    /// placements depend on earlier batches' measured completions, so
+    /// every batch simulates on every distinct lane scope in one
+    /// host-pool fan-out before the serial placement loop consumes the
+    /// memoized result of whichever lane it picks. Either way the result
+    /// is byte-identical to a serial engine, because every simulation is
+    /// a pure function of `(batch, lane scope)`.
     fn dispatch_burst(&mut self, model: usize, sealed: Vec<(Vec<Request>, u64)>) {
         // Every sealed member moves from the queued half of the
         // backlog to the in-flight half (it stays outstanding until
@@ -1920,9 +1874,10 @@ impl<'a> Engine<'a> {
         let spec = &self.models[model];
         let exec_started = self.trace.is_some().then(Instant::now);
         let speculative = if sealed.len() > 1 {
-            let work: Vec<(usize, &[Request])> =
-                sealed.iter().map(|(members, _)| (model, members.as_slice())).collect();
-            Some(fleet.execute_on_scopes(&self.scopes, self.models, &work))
+            fleet.precompile_plans(&self.scopes, self.models, [model]);
+            Some(fleet.on_every_scope(&self.scopes, &sealed, |(members, _), lane| {
+                lane.execute_batch(spec, members, fleet.weight_seed)
+            }))
         } else {
             None
         };
@@ -2362,6 +2317,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{replay, Replay};
     use crate::policy::{BatchLimits, SloAwarePolicy};
     use crate::workload::WorkloadSpec;
     use s2ta_models::lenet5;
@@ -2433,19 +2389,30 @@ mod tests {
         );
     }
 
-    /// The event-driven engine replays the vectorized open-loop path
-    /// exactly when the policy is fixed: same batches, same placement,
-    /// same report.
+    /// What `fleet` must report for `requests` under its own fixed
+    /// policy with earliest-free placement (see [`crate::oracle`]).
+    fn vectorized(fleet: &Fleet, models: &[ModelSpec], requests: &[Request]) -> Replay {
+        replay(fleet, fleet.policy, fleet.weight_seed, models, requests)
+    }
+
+    /// The event-driven engine replays up-front formation and
+    /// placement exactly when the policy is fixed: same batches, same
+    /// placement, same report.
     #[test]
     fn engine_with_fixed_policy_matches_vectorized_serve() {
         let (models, reqs) = tiny_workload(40);
         for workers in [1, 3] {
             let policy = FixedPolicy { max_batch: 4, max_wait_cycles: 30_000 };
             let fleet = Fleet::new(ArchKind::S2taAw, workers).with_policy(policy);
-            let vectorized = fleet.serve(&models, &reqs);
+            let served = fleet.serve(&models, &reqs);
             let mut fixed = policy;
             let event_driven = fleet.serve_adaptive(&models, &reqs, &mut fixed);
-            assert_eq!(vectorized, event_driven, "workers {workers}");
+            assert_eq!(
+                Replay::of(&served),
+                vectorized(&fleet, &models, &reqs),
+                "workers {workers}"
+            );
+            assert_eq!(served, event_driven, "workers {workers}");
         }
     }
 
@@ -2458,21 +2425,24 @@ mod tests {
         let reqs = WorkloadSpec::uniform(5, 60, 500.0, 1).generate();
         let policy = FixedPolicy { max_batch: 8, max_wait_cycles: 10_000 };
         let fleet = Fleet::new(ArchKind::S2taAw, 2).with_policy(policy).with_queue_capacity(3);
-        let vectorized = fleet.serve(&models, &reqs);
-        assert!(vectorized.dropped_count() > 0, "workload must overload the bound");
+        let served = fleet.serve(&models, &reqs);
+        assert!(served.dropped_count() > 0, "workload must overload the bound");
         let mut fixed = policy;
         let event_driven = fleet.serve_adaptive(&models, &reqs, &mut fixed);
-        assert_eq!(vectorized, event_driven);
+        assert_eq!(Replay::of(&served), vectorized(&fleet, &models, &reqs));
+        assert_eq!(served, event_driven);
     }
 
     /// The admission boundary at capacities 0 and 1, end to end: a
     /// zero-capacity fleet drops everything calmly, and a capacity-1
     /// fleet admits exactly the requests that find their lane empty —
-    /// identically in the vectorized path and the engine.
+    /// identically in the up-front replay and the engine.
     #[test]
     fn fleet_admission_boundaries_at_capacity_zero_and_one() {
         let (models, reqs) = tiny_workload(20);
-        let drop_all = Fleet::new(ArchKind::S2taAw, 2).with_queue_capacity(0).serve(&models, &reqs);
+        let zero = Fleet::new(ArchKind::S2taAw, 2).with_queue_capacity(0);
+        let drop_all = zero.serve(&models, &reqs);
+        assert_eq!(Replay::of(&drop_all), vectorized(&zero, &models, &reqs));
         assert_eq!(drop_all.dropped_count(), 20);
         assert_eq!(drop_all.served_count(), 0);
         assert_eq!(drop_all.batches, 0);
@@ -2480,10 +2450,10 @@ mod tests {
         assert_eq!(drop_all.p99_cycles(), 0, "drop-only runs report calm percentiles");
 
         let policy = FixedPolicy { max_batch: 4, max_wait_cycles: 10_000 };
-        let one = Fleet::new(ArchKind::S2taAw, 2)
-            .with_policy(policy)
-            .with_queue_capacity(1)
-            .serve(&models, &reqs);
+        let capacity_one =
+            Fleet::new(ArchKind::S2taAw, 2).with_policy(policy).with_queue_capacity(1);
+        let one = capacity_one.serve(&models, &reqs);
+        assert_eq!(Replay::of(&one), vectorized(&capacity_one, &models, &reqs));
         assert_eq!(one.served_count() + one.dropped_count(), 20);
         assert!(one.served_count() > 0, "capacity 1 still serves the lane-empty arrivals");
         let mut fixed = policy;
@@ -2623,9 +2593,17 @@ mod tests {
         let (models, reqs) = tiny_workload(12);
         let fleet =
             Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::S2taW, 2)]));
-        let _ = fleet.serve(&models, &reqs);
-        // Both DBB archs planned lenet5 once each in the shared cache.
-        assert_eq!(fleet.lanes()[0].accelerator().plans().len(), 2);
+        let report = fleet.serve(&models, &reqs);
+        // Every plan the serve compiled is its own (arch, model) entry
+        // of the shared table: no arch compiled lenet5 twice.
+        let plans = fleet.lanes()[0].accelerator().plans();
+        assert!(report.plan_cache.misses >= 1, "a cold serve compiles");
+        assert_eq!(plans.len() as u64, report.plan_cache.misses);
+        // Planning through every lane adds only the arch the serve did
+        // not reach, if any: one plan per DBB arch, seen by every lane.
+        for lane in fleet.lanes() {
+            lane.accelerator().plan_model(&models[0], 42);
+        }
         for lane in fleet.lanes() {
             assert_eq!(
                 lane.accelerator().plans().len(),
@@ -2859,13 +2837,62 @@ mod tests {
         assert!(report.pipeline_stages.iter().any(|s| s.bubble_cycles > 0));
     }
 
+    /// The cold fill compiles every recurring input's profiles on
+    /// every lane scope before the run, and the run then needs nothing
+    /// more: a cold serve reports exactly the profiles that warming each
+    /// input through each lane compiles by hand, on any host pool.
+    #[test]
+    fn cold_fill_warms_recurring_inputs_on_every_scope() {
+        let models = vec![lenet5()];
+        let spec = FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)]);
+        let mut reqs = WorkloadSpec::uniform(9, 24, 5_000.0, 1).generate();
+        for r in &mut reqs {
+            r.act_seed = r.id % 4;
+        }
+        let by_hand = Fleet::from_spec(spec.clone());
+        for lane in by_hand.lanes() {
+            let acc = lane.accelerator();
+            let plan = acc.plan_model(&models[0], 42);
+            for seed in 0..4 {
+                acc.warm_act_profiles(&plan, &models[0], seed, &mut s2ta_core::Scratch::new());
+            }
+        }
+        let compiled = by_hand.accelerator().act_profiles().stats().misses;
+        for workers in [1, 2] {
+            let report =
+                Fleet::from_spec(spec.clone()).with_host_parallelism(workers).serve(&models, &reqs);
+            assert_eq!(report.plan_cache.acts.misses, compiled, "{workers} host workers");
+            assert!(report.plan_cache.acts.hits > report.plan_cache.acts.misses);
+        }
+    }
+
+    /// A reference-path fleet reads no activation profiles, so the cold
+    /// fill warms none, even for recurring inputs.
+    #[test]
+    fn cold_fill_skips_the_reference_path() {
+        let models = vec![lenet5()];
+        let spec = FleetSpec::mixed(&[(ArchKind::S2taAw, 1), (ArchKind::SaZvcg, 1)])
+            .with_exec_path(s2ta_core::ExecPath::Reference);
+        let mut reqs = WorkloadSpec::uniform(9, 12, 5_000.0, 1).generate();
+        for r in &mut reqs {
+            r.act_seed = r.id % 3;
+        }
+        let report = Fleet::from_spec(spec).serve(&models, &reqs);
+        assert_eq!(report.plan_cache.acts.misses + report.plan_cache.acts.hits, 0);
+    }
+
     /// The serving report surfaces the fleet plan cache's hit/miss
     /// split: on a mixed fleet each DBB arch compiles each model once
     /// (misses), every later execution hits, and dense lanes bypass.
+    /// The stream's four inputs recur, so the cold fill plans and
+    /// profiles them on both lane scopes before the run.
     #[test]
     fn report_carries_plan_cache_activity() {
         let models = vec![lenet5()];
-        let reqs = WorkloadSpec::uniform(9, 16, 5_000.0, 1).generate();
+        let mut reqs = WorkloadSpec::uniform(9, 16, 5_000.0, 1).generate();
+        for r in &mut reqs {
+            r.act_seed = r.id % 4;
+        }
         let fleet =
             Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)]));
         let report = fleet.serve(&models, &reqs);
@@ -2875,7 +2902,7 @@ mod tests {
         assert!(report.plan_cache.hit_rate() > 0.5);
         // The activation-profile cache: the S2TA-AW and SA-ZVCG design
         // points share (tile_cols, bz), so each (layer, act seed)
-        // profiles once and the other scope's execution hits; the cache
+        // profiles once and the other scope's lookup hits; the cache
         // never bypasses.
         assert!(report.plan_cache.acts.misses > 0, "cold run must compile profiles");
         assert!(report.plan_cache.acts.hits > 0, "the second scope must reuse them");
@@ -2890,7 +2917,7 @@ mod tests {
         assert!(again.plan_cache.acts.hits > again.plan_cache.acts.misses);
     }
 
-    /// Heterogeneous earliest-free: the vectorized path and the engine
+    /// Heterogeneous earliest-free: the up-front replay and the engine
     /// still agree for fixed policies, and per-lane stats reflect each
     /// lane's own architecture.
     #[test]
@@ -2901,17 +2928,17 @@ mod tests {
         let fleet =
             Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 1)]))
                 .with_policy(policy);
-        let vectorized = fleet.serve(&models, &reqs);
+        let served = fleet.serve(&models, &reqs);
         let mut fixed = policy;
         let event_driven = fleet.serve_adaptive(&models, &reqs, &mut fixed);
-        assert_eq!(vectorized, event_driven);
-        assert_eq!(vectorized.workers[0].arch, ArchKind::S2taAw);
-        assert_eq!(vectorized.workers[2].arch, ArchKind::SaZvcg);
-        assert_eq!(vectorized.arch, "2xS2TA-AW + 1xSA-ZVCG");
+        assert_eq!(Replay::of(&served), vectorized(&fleet, &models, &reqs));
+        assert_eq!(served, event_driven);
+        assert_eq!(served.workers[0].arch, ArchKind::S2taAw);
+        assert_eq!(served.workers[2].arch, ArchKind::SaZvcg);
+        assert_eq!(served.arch, "2xS2TA-AW + 1xSA-ZVCG");
         // Per-lane events must sum to the fleet totals.
-        let summed =
-            vectorized.workers.iter().fold(EventCounts::default(), |acc, w| acc + w.events);
-        assert_eq!(summed, vectorized.total_events);
+        let summed = served.workers.iter().fold(EventCounts::default(), |acc, w| acc + w.events);
+        assert_eq!(summed, served.total_events);
     }
 
     use crate::fault::{FaultConfig, FaultSpec, RetryPolicy};
@@ -3126,5 +3153,21 @@ mod tests {
         let busy = |r: &ServeReport| -> u64 { r.workers.iter().map(|w| w.busy_cycles).sum() };
         assert!(busy(&report) > busy(&plain), "losing copies must be charged as wasted lane time");
         assert_eq!(report, hedge(), "hedged serving must be deterministic");
+    }
+
+    /// Fault injection and pipelined placement are refused when the
+    /// fleet is built, whichever builder call comes second.
+    #[test]
+    #[should_panic(expected = "pipelined placement is unsupported")]
+    fn faults_refuse_a_pipelined_fleet() {
+        let config = FaultConfig::protected(FaultSpec::quiet(5));
+        let _ = Fleet::new(ArchKind::S2taAw, 2).with_pipeline(2).with_faults(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "pipelined placement is unsupported")]
+    fn pipelining_refuses_a_faulty_fleet() {
+        let config = FaultConfig::protected(FaultSpec::quiet(5));
+        let _ = Fleet::new(ArchKind::S2taAw, 2).with_faults(config).with_pipeline(2);
     }
 }

@@ -17,11 +17,12 @@
 //!   previous one completes, so offered load adapts to capacity.
 //! * [`RequestQueue`] — per-model FIFO lanes, optionally bounded for
 //!   admission control (tail drop).
-//! * [`Scheduler`] — groups compatible requests into batches (size- or
-//!   timeout-closed) and places them on simulated worker lanes. Batch
-//!   formation under a fixed policy is fleet-size independent, so
-//!   aggregate simulation results are identical for every worker count
-//!   on a homogeneous fleet.
+//! * [`Scheduler`] — up-front batch formation (size- or
+//!   timeout-closed) and earliest-free placement on simulated worker
+//!   lanes under a fixed policy: the reference the fleet's event engine
+//!   is tested against. Formation under a fixed policy is fleet-size
+//!   independent, so aggregate simulation results are identical for
+//!   every worker count on a homogeneous fleet.
 //! * [`BatchPolicy`] — the closure-rule trait: [`FixedPolicy`] (static
 //!   bounds) or [`SloAwarePolicy`] (shrinks/grows `max_wait`/
 //!   `max_batch` against an observed-p99 target — one global class, or
@@ -78,9 +79,15 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+// The test oracle names this crate the way the integration tests do.
+#[cfg(test)]
+extern crate self as s2ta_serve;
+
 mod cluster;
 mod fault;
 mod fleet;
+#[cfg(test)]
+mod oracle;
 mod pipeline;
 mod policy;
 mod queue;

@@ -410,14 +410,12 @@ impl WorkerStats {
 /// (activation strip-profile compilation for the matrix-free event
 /// path — every lookup is memoized, so its bypasses are always zero).
 ///
-/// **Excluded from report equality.** Two runs with byte-identical
-/// *simulated* results may take different cache paths on the host — the
-/// vectorized open-loop path warms every plan once up front, while the
-/// event-driven engine re-warms per dispatch burst — so cache traffic
-/// is a host-side diagnostic, not a simulated outcome. `PartialEq`
-/// therefore always answers `true`, keeping the engine-vs-vectorized
-/// equivalence guarantees about what was *computed*, not how it was
-/// memoized.
+/// **Excluded from report equality.** Runs with byte-identical
+/// *simulated* results may take different cache paths on the host (a
+/// warm fleet hits where a cold one compiles, a byte budget evicts, the
+/// open-loop cold fill warms recurring inputs ahead of the run), so
+/// `PartialEq` always answers `true`: report equality is about what was
+/// *computed*, not how it was memoized.
 #[derive(Debug, Clone, Copy, Default, Eq)]
 pub struct PlanCacheActivity {
     /// The run's weight-plan-cache counter delta (hits / misses /
@@ -524,8 +522,9 @@ pub struct ModelServeStats {
 /// decisions all run on the simulated clock, so the struct sits
 /// **inside report equality** — serial and shard-parallel cluster
 /// drivers must agree on it byte-for-byte. A fault-free run carries
-/// the all-zero default (with empty per-lane vectors), which keeps the
-/// engine-vs-vectorized equivalence untouched.
+/// the all-zero default (with empty per-lane vectors), which keeps
+/// fault-free reports equal to the up-front formation-and-placement
+/// replay the tests check the engine against.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Lane-crash windows that began during the run.
@@ -639,8 +638,8 @@ pub struct ServeReport {
     /// the monolithic placement modes).
     pub pipeline_stages: Vec<PipelineStageStats>,
     /// Per-model admission/deadline accounting, in `models`-list
-    /// order. Part of report equality: every serving path (vectorized,
-    /// engine, cluster shard) must agree on it byte-for-byte.
+    /// order. Part of report equality: a lone fleet, a cluster shard and
+    /// the up-front formation replay must agree on it byte-for-byte.
     pub per_model: Vec<ModelServeStats>,
     /// Fault-injection and recovery accounting (all-zero for
     /// fault-free runs; **inside** report equality — see

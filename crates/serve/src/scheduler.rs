@@ -1,8 +1,12 @@
 //! The batching scheduler: groups compatible requests into batches and
 //! places batches onto simulated-time worker lanes.
 //!
-//! Scheduling is split into two deterministic stages so that *what* is
-//! computed never depends on *where* it runs:
+//! [`crate::Fleet`] serves through its event-driven engine, one event
+//! at a time. The up-front form here is the **reference** a
+//! fixed-policy, earliest-free engine run must reproduce (the serving
+//! tests and the `perfbench` fleet workload replay it). It is split
+//! into two deterministic stages so that *what* is computed never
+//! depends on *where* it runs:
 //!
 //! 1. **Batch formation** ([`Scheduler::form_batches`]) folds the
 //!    arrival stream through a [`RequestQueue`], closing a batch when it
@@ -17,12 +21,11 @@
 //!    ties); `place_on_lanes` additionally lets the service time depend
 //!    on the lane, which is what a heterogeneous (mixed-architecture)
 //!    fleet needs. Given the per-batch service times this reproduces
-//!    the latency/throughput behaviour of an N-lane fleet exactly,
-//!    while the actual cycle simulation runs on a host thread pool in
-//!    any order. The *affinity* dispatch rule
-//!    ([`PlacementStrategy::Affinity`], backed by a per-`(arch, model)`
-//!    [`ServiceEstimator`]) lives in the event-driven engine, which
-//!    learns service estimates as the run progresses.
+//!    the latency/throughput behaviour of an N-lane fleet exactly. The
+//!    *affinity* dispatch rule ([`PlacementStrategy::Affinity`], backed
+//!    by a per-`(arch, model)` [`ServiceEstimator`]) lives only in the
+//!    event-driven engine, which learns service estimates as the run
+//!    progresses.
 //!
 //! Timeout closure is tracked with a deadline-ordered min-heap
 //! ([`DeadlineHeap`]) instead of scanning every model lane per arrival:
@@ -36,10 +39,10 @@
 //! still joins that batch; the batch closes (at `ready == deadline`)
 //! the moment any strictly later event is processed.
 //!
-//! The adaptive serving engine ([`crate::Fleet::serve_closed_loop`])
-//! re-queries a [`crate::BatchPolicy`] for fresh limits as it runs;
-//! this module's stream-fold path deliberately takes a fixed
-//! [`BatchLimits`] so the independence property above is structural.
+//! The serving engine re-queries a [`crate::BatchPolicy`] for fresh
+//! limits as it runs; this module's stream-fold path deliberately takes
+//! a fixed [`BatchLimits`] so the independence property above is
+//! structural.
 
 use crate::policy::{BatchLimits, FixedPolicy};
 use crate::queue::RequestQueue;

@@ -85,9 +85,10 @@ fn main() {
     // their compiles count as bypasses (no DBB pruning pipeline ran)
     // and their warm lookups as hits, so the bypass counter freezes
     // once the fleet is warm. The activation-profile cache (the
-    // matrix-free event path's operand memo) rides alongside: on the
-    // cold run the S2TA-AW and SA-ZVCG scopes share each
-    // (layer, act seed) profile.
+    // matrix-free event path's operand memo) rides alongside. Every
+    // request of this stream has its own input, so the cold fill leaves
+    // it alone and each profile compiles where the run first needs it;
+    // its reuse shows in the steady-state re-serve below.
     for (name, report) in [("earliest-free", &earliest_free), ("affinity", &affinity)] {
         let cache = report.plan_cache;
         println!(
@@ -106,16 +107,6 @@ fn main() {
         assert!(cache.acts.misses > 0, "{name}: cold run compiles act profiles");
         assert_eq!(cache.acts.bypasses, 0, "{name}: every act lookup is memoized");
     }
-    // Earliest-free simulates every batch on both lane scopes, and the
-    // S2TA-AW / SA-ZVCG design points share (tile_cols, bz): the second
-    // scope's executions all hit the profiles the first compiled. (The
-    // affinity engine's single-batch seals simulate only the chosen
-    // scope, so its cold run is miss-only by design — its reuse shows
-    // up in the steady-state re-serve below.)
-    assert_eq!(
-        earliest_free.plan_cache.acts.hits, earliest_free.plan_cache.acts.misses,
-        "earliest-free: two shared-geometry scopes -> one hit per compile"
-    );
     println!("fleet-wide weight-plan cache is effective: OK");
 
     // Steady state: re-serving the same traffic on the same fleet hits

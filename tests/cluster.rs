@@ -213,6 +213,50 @@ fn autoscaler_tracks_the_diurnal_load_curve() {
     assert_eq!(ids, (0..620).collect::<Vec<u64>>());
 }
 
+/// A cold pre-routed (`Random`) cluster on one shared plan cache
+/// compiles every weight plan exactly once, at any executor width: the
+/// driver compiles each shard's routed models before fanning the shards
+/// out, so no two shard threads race the same cold compile. (One model
+/// makes every shard's first batch want the same plans at once.)
+#[test]
+fn cold_prerouted_cluster_compiles_each_plan_once() {
+    let models = models();
+    let requests = stream(17, 32);
+    let spec = FleetSpec::mixed(&[(ArchKind::S2taAw, 1), (ArchKind::SaZvcg, 1)]);
+    for workers in [1, 2, 7] {
+        let cluster = Cluster::new((0..4).map(|_| Fleet::from_spec(spec.clone())).collect())
+            .with_routing(RoutingPolicy::Random)
+            .with_shared_caches();
+        cluster.serve_on(&Executor::new(workers), &models, &requests);
+        let plans = cluster.shards()[0].accelerator().plans().stats();
+        // One DBB arch (S2TA-AW) and one dense arch (SA-ZVCG).
+        assert_eq!(plans.misses, 1, "workers {workers}: one compile per (DBB arch, model)");
+        assert_eq!(plans.bypasses, 1, "workers {workers}: one dense compile per model");
+    }
+}
+
+/// Without shared caches every shard of a cold pre-routed cluster owns
+/// its plan cache, so no two shard threads can race a compile: each
+/// shard compiles its own plans on its own thread, inside its engine's
+/// lifetime, and its report counts every compile its cache made.
+#[test]
+fn cold_prerouted_shards_compile_their_own_plans() {
+    let models = models();
+    let requests = stream(17, 32);
+    let spec = FleetSpec::mixed(&[(ArchKind::S2taAw, 1), (ArchKind::SaZvcg, 1)]);
+    for workers in [1, 2, 7] {
+        let cluster = Cluster::new((0..4).map(|_| Fleet::from_spec(spec.clone())).collect())
+            .with_routing(RoutingPolicy::Random);
+        let report = cluster.serve_on(&Executor::new(workers), &models, &requests);
+        for (shard, fleet) in cluster.shards().iter().enumerate() {
+            let plans = fleet.accelerator().plans().stats();
+            assert_eq!(plans.misses, 1, "workers {workers}, shard {shard}: one DBB compile");
+            assert_eq!(report.shards[shard].plan_cache.misses, plans.misses);
+            assert_eq!(report.shards[shard].plan_cache.bypasses, plans.bypasses);
+        }
+    }
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(5))]
 

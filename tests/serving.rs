@@ -14,6 +14,13 @@ use s2ta::serve::{
 };
 use s2ta::tensor::{GemmShape, LayerKind};
 
+#[path = "../crates/serve/src/oracle.rs"]
+mod oracle;
+use oracle::{replay, Replay};
+
+/// The weight seed every fleet here keeps (`Fleet`'s default).
+const WEIGHT_SEED: u64 = 42;
+
 fn workload(seed: u64, n: usize, models: usize) -> Vec<Request> {
     WorkloadSpec::uniform(seed, n, 15_000.0, models).generate()
 }
@@ -502,24 +509,27 @@ proptest! {
         }
     }
 
-    /// Open-loop fixed-policy formation and the event-driven engine
-    /// (satisfying the same fixed policy) agree for any seed.
+    /// Open-loop fixed-policy formation and placement, replayed up
+    /// front from public calls, and the event-driven engine (satisfying
+    /// the same fixed policy) agree for any seed.
     #[test]
     fn prop_engine_matches_vectorized_for_fixed_policies(seed in any::<u64>()) {
         let models = vec![lenet5()];
         let requests = WorkloadSpec::uniform(seed, 24, 25_000.0, 1).generate();
         let policy = FixedPolicy { max_batch: 3, max_wait_cycles: 40_000 };
         let fleet = Fleet::new(ArchKind::S2taAw, 2).with_policy(policy);
-        let vectorized = fleet.serve(&models, &requests);
+        let served = fleet.serve(&models, &requests);
         let mut fixed = policy;
         let event_driven = fleet.serve_adaptive(&models, &requests, &mut fixed);
-        prop_assert_eq!(vectorized, event_driven);
+        let vectorized = replay(&fleet, policy, WEIGHT_SEED, &models, &requests);
+        prop_assert_eq!(Replay::of(&served), vectorized);
+        prop_assert_eq!(served, event_driven);
     }
 
-    /// The same equivalence on a **mixed-architecture** fleet: the
-    /// vectorized path's all-scopes speculative execution plus
-    /// earliest-free placement replays the engine exactly, and the
-    /// speculative fan-out is byte-identical at any host parallelism.
+    /// The same equivalence on a **mixed-architecture** fleet: every
+    /// batch on every lane plus earliest-free placement replays the
+    /// engine exactly, and the engine's host-pool fan-outs are
+    /// byte-identical at any host parallelism.
     #[test]
     fn prop_mixed_fleet_engine_matches_vectorized(seed in any::<u64>()) {
         let models = vec![lenet5()];
@@ -527,11 +537,13 @@ proptest! {
         let policy = FixedPolicy { max_batch: 3, max_wait_cycles: 40_000 };
         let spec = FleetSpec::mixed(&[(ArchKind::S2taAw, 1), (ArchKind::SaZvcg, 1)]);
         let fleet = Fleet::from_spec(spec).with_policy(policy);
-        let vectorized = fleet.serve(&models, &requests);
+        let served = fleet.serve(&models, &requests);
         let mut fixed = policy;
         let event_driven = fleet.serve_adaptive(&models, &requests, &mut fixed);
-        prop_assert_eq!(&vectorized, &event_driven);
+        let vectorized = replay(&fleet, policy, WEIGHT_SEED, &models, &requests);
+        prop_assert_eq!(Replay::of(&served), vectorized);
+        prop_assert_eq!(&served, &event_driven);
         let serial = fleet.clone().with_host_parallelism(1).serve(&models, &requests);
-        prop_assert_eq!(&vectorized, &serial);
+        prop_assert_eq!(&served, &serial);
     }
 }
